@@ -52,7 +52,6 @@ from .structures import (
     EdgeCodegreeProfile,
     Graph,
     TripleSystem,
-    count_triangles,
     edge_codegree_profile,
     is_d_full,
     is_superfull,

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .errors import InputError
-from .structures import Graph, Pair, Triple, TripleSystem, sorted_triple
+from .structures import Graph, Triple, TripleSystem, sorted_triple
 
 
 def expansion(base: Graph) -> TripleSystem:
@@ -24,12 +24,6 @@ def expansion(base: Graph) -> TripleSystem:
     n = base.n + len(edges)
     triples = [(u, v, base.n + i) for i, (u, v) in enumerate(edges)]
     return TripleSystem(n, triples)
-
-
-def expansion_fresh_vertex(base: Graph, edge: Pair) -> int:
-    """Fresh vertex assigned to a base edge under the canonical labeling."""
-    edges = base.edge_list()
-    return base.n + edges.index(edge)
 
 
 def triangle_blowup(base: Graph) -> Graph:
@@ -149,9 +143,6 @@ class Coloring:
 
     def is_surjective_onto_range(self) -> bool:
         return set(self.color_of.values()) == set(range(self.color_count))
-
-    def triples_of_color(self, color: int) -> list[Triple]:
-        return sorted(t for t, c in self.color_of.items() if c == color)
 
 
 def constant_coloring(n: int) -> Coloring:

@@ -65,21 +65,17 @@ def _emit(data: dict, out: str | None, rows: list[dict] | None = None, fmt: str 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = config_from_mapping(parse_config_file(args.config), cfg)
-    if getattr(args, "max_nodes", None) is not None:
+    if args.max_nodes is not None:
         cfg.max_nodes = args.max_nodes
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "cache_dir", None) is not None:
+    if args.cache_dir is not None:
         cfg.cache_dir = Path(args.cache_dir)
     elif os.environ.get("CROSSCUT_CACHE_DIR"):
         cfg.cache_dir = Path(os.environ["CROSSCUT_CACHE_DIR"])
-    if getattr(args, "non_deterministic", False):
+    if args.non_deterministic:
         cfg.deterministic = False
-    if getattr(args, "output_format", None):
+    if args.output_format:
         cfg.output_format = args.output_format
     return cfg
 
@@ -197,10 +193,12 @@ def _cmd_turan(args) -> int:
 
     def compute():
         if args.mode == "hypergraph":
-            return lab.exact_turan_hypergraph(args.n, pattern, exhaustive, cfg)
-        return lab.exact_generalized_turan(args.n, pattern, exhaustive, cfg)
+            return lab.exact_turan_hypergraph(args.n, pattern, exhaustive, cfg.budget())
+        return lab.exact_generalized_turan(args.n, pattern, exhaustive, cfg.budget())
 
-    result = lab.cached_turan(args.mode, args.n, pattern, cfg.cache_dir, compute)
+    result = lab.cached_turan(
+        args.mode, args.n, pattern, cfg.cache_dir, compute, exhaustive
+    )
     row = {
         k: result[k]
         for k in (
@@ -247,10 +245,23 @@ def _cmd_verify(args) -> int:
     return EXIT_FOUND if report["all_pass"] else EXIT_NEGATIVE
 
 
+def _embedding_from(data: dict, path: str) -> Embedding:
+    try:
+        return Embedding.from_json(data["embedding"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed embedding: {exc!r}") from None
+
+
 def _cmd_check(args) -> int:
-    data = json.loads(Path(args.certificate).read_text())
+    path = args.certificate
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: a certificate is a JSON object")
     if data.get("kind") == "embedding":
-        emb = Embedding.from_json(data["embedding"])
+        emb = _embedding_from(data, path)
         host = load_structure(args.host)
         problems = emb.violations(host)
         if problems:
@@ -259,7 +270,7 @@ def _cmd_check(args) -> int:
         _emit({"valid": True}, None)
         return EXIT_FOUND
     if data.get("kind") == "rainbow":
-        emb = Embedding.from_json(data["embedding"])
+        emb = _embedding_from(data, path)
         coloring = load_coloring(args.host)
         problems = []
         seen_colors = []
@@ -283,10 +294,9 @@ def _cmd_check(args) -> int:
         return EXIT_FOUND
     if data.get("kind") == "cleaning-trace":
         host = load_triple_system(args.host)
-        trace = cleaning_mod.cleaning_algorithm(host, data["k"], data["t"])
-        same = trace.to_json() == {
-            key: data[key] for key in trace.to_json()
-        }
+        trace = cleaning_mod.cleaning_algorithm(host, data.get("k"), data.get("t"))
+        replay = trace.to_json()
+        same = replay == {key: data.get(key) for key in replay}
         _emit({"valid": same}, None)
         return EXIT_FOUND if same else EXIT_NEGATIVE
     raise InputError("unknown certificate kind")
@@ -300,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--max-nodes", type=int, dest="max_nodes")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--cache-dir", dest="cache_dir")
     parser.add_argument(
         "--non-deterministic",
@@ -387,9 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     turan.add_argument("--mode", choices=["hypergraph", "triangles"], required=True)
     turan.add_argument("--n", type=int, required=True)
     turan.add_argument("--pattern", required=True)
-    group = turan.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--lower-only", dest="lower_only", action="store_true")
+    turan.add_argument("--lower-only", dest="lower_only", action="store_true")
     turan.add_argument("--out")
     turan.set_defaults(func=_cmd_turan)
 

@@ -8,29 +8,24 @@ from pathlib import Path
 
 from .errors import BudgetExceededError, InputError
 
-DEFAULT_SEED = 20240901
+DEFAULT_MAX_NODES = 50_000_000
 
 
 @dataclass
 class RunConfig:
     """Knobs shared by the search-heavy operations and the CLI.
 
-    deterministic=True forces canonical certificate selection everywhere;
-    sequential subcommands ignore `workers`.
+    deterministic=True forces canonical certificate selection everywhere.
     """
 
-    max_nodes: int | None = 50_000_000
+    max_nodes: int | None = DEFAULT_MAX_NODES
     wall_clock_s: float | None = None
-    workers: int = 1
     deterministic: bool = True
     output_format: str = "json"
     cache_dir: Path | None = None
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
-        if self.output_format not in ("json", "csv", "edgelist"):
+        if self.output_format not in ("json", "csv"):
             raise InputError(f"unknown output format {self.output_format!r}")
 
     def budget(self) -> "SearchBudget":
@@ -82,11 +77,9 @@ def config_from_mapping(pairs: dict[str, str], base: RunConfig | None = None) ->
     known = {
         "max_nodes": lambda v: None if v.lower() == "none" else int(v),
         "wall_clock_s": lambda v: None if v.lower() == "none" else float(v),
-        "workers": int,
         "deterministic": lambda v: v.lower() in ("1", "true", "yes"),
         "output_format": str,
         "cache_dir": lambda v: None if v.lower() == "none" else Path(v),
-        "seed": int,
     }
     for key, value in pairs.items():
         if key not in known:

@@ -22,7 +22,7 @@ from .builders import (
     s_size,
     sbi_size,
 )
-from .config import RunConfig, SearchBudget
+from .config import DEFAULT_MAX_NODES, SearchBudget
 from .errors import BudgetExceededError, InputError
 from .embed import (
     RainbowCertificate,
@@ -211,11 +211,59 @@ def _levelwise_max(
     return best, keys, budget.nodes
 
 
+def _exact_turan(
+    n: int,
+    pattern: Graph,
+    exhaustive: bool,
+    budget: SearchBudget | None,
+    construction_value: int | None,
+    construction_free: bool | None,
+    arity: int,
+    is_free,
+    objective,
+) -> TuranResult:
+    """Driver shared by the exact Turán entry points.
+
+    Lower-bound mode reports the construction value alone.  Exhaustive mode
+    (n <= 7, budget-checked; 50M nodes when no budget is given) runs orderly
+    generation over the arity-subsets of [n], seeded with the construction
+    value when the construction was verified free.
+    """
+    value = construction_value if construction_value is not None else 0
+    witness_keys: list[tuple] = []
+    nodes = 0
+    if exhaustive:
+        if n > 7:
+            raise BudgetExceededError("exhaustive search supports n <= 7")
+        items = list(itertools.combinations(range(n), arity))
+        seed = value if construction_free else 0
+        if budget is None:
+            budget = SearchBudget(DEFAULT_MAX_NODES)
+        value, witness_keys, nodes = _levelwise_max(
+            n, items, is_free, objective, seed, budget
+        )
+    return TuranResult(
+        n=n,
+        pattern=pattern,
+        value=value,
+        exhaustive=exhaustive,
+        extremal_witnesses=tuple(witness_keys),
+        lower_bound_construction_value=construction_value,
+        construction_free=construction_free,
+        matches_construction=(
+            None
+            if not exhaustive or construction_value is None
+            else value == construction_value
+        ),
+        nodes=nodes,
+    )
+
+
 def exact_turan_hypergraph(
     n: int,
     pattern: Graph,
     exhaustive: bool = True,
-    config: RunConfig | None = None,
+    budget: SearchBudget | None = None,
 ) -> TuranResult:
     """Maximum size of an n-vertex 3-graph avoiding the pattern's expansion.
 
@@ -223,7 +271,6 @@ def exact_turan_hypergraph(
     exact freeness tests; otherwise only the apex-construction lower bound
     is reported.
     """
-    cfg = config or RunConfig()
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
     construction_value = None
@@ -236,47 +283,20 @@ def exact_turan_hypergraph(
                 construction_free = (
                     find_expansion(s_construction(n, t), pattern) is None
                 )
-    if not exhaustive:
-        value = construction_value if construction_value is not None else 0
-        return TuranResult(
-            n=n,
-            pattern=pattern,
-            value=value,
-            exhaustive=False,
-            extremal_witnesses=(),
-            lower_bound_construction_value=construction_value,
-            construction_free=construction_free,
-            matches_construction=None,
-            nodes=0,
-        )
-    if n > 7:
-        raise BudgetExceededError("exhaustive 3-graph search supports n <= 7")
-    budget = cfg.budget()
-    items = list(itertools.combinations(range(n), 3))
 
     def is_free(triples: frozenset) -> bool:
         return find_expansion(TripleSystem(n, triples), pattern) is None
 
-    seed = (
-        construction_value
-        if construction_value is not None and construction_free
-        else 0
-    )
-    value, witness_keys, nodes = _levelwise_max(
-        n, items, is_free, len, seed, budget
-    )
-    return TuranResult(
-        n=n,
-        pattern=pattern,
-        value=value,
-        exhaustive=True,
-        extremal_witnesses=tuple(witness_keys),
-        lower_bound_construction_value=construction_value,
-        construction_free=construction_free,
-        matches_construction=(
-            None if construction_value is None else value == construction_value
-        ),
-        nodes=nodes,
+    return _exact_turan(
+        n,
+        pattern,
+        exhaustive,
+        budget,
+        construction_value,
+        construction_free,
+        3,
+        is_free,
+        len,
     )
 
 
@@ -310,11 +330,10 @@ def exact_generalized_turan(
     n: int,
     pattern: Graph,
     exhaustive: bool = True,
-    config: RunConfig | None = None,
+    budget: SearchBudget | None = None,
 ) -> TuranResult:
     """Maximum triangle count of an n-vertex graph avoiding the pattern's
     triangle blowup (exhaustive for n <= 7, budget-checked)."""
-    cfg = config or RunConfig()
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
     construction_value = None
@@ -327,23 +346,6 @@ def exact_generalized_turan(
             construction_free = (
                 find_blowup(s_graph(n, t, plus=plus), pattern) is None
             )
-    if not exhaustive:
-        value = construction_value if construction_value is not None else 0
-        return TuranResult(
-            n=n,
-            pattern=pattern,
-            value=value,
-            exhaustive=False,
-            extremal_witnesses=(),
-            lower_bound_construction_value=construction_value,
-            construction_free=construction_free,
-            matches_construction=None,
-            nodes=0,
-        )
-    if n > 7:
-        raise BudgetExceededError("exhaustive graph search supports n <= 7")
-    budget = cfg.budget()
-    items = list(itertools.combinations(range(n), 2))
 
     def is_free(edges: frozenset) -> bool:
         return find_blowup(Graph(n, edges), pattern) is None
@@ -351,26 +353,16 @@ def exact_generalized_turan(
     def objective(edges: frozenset) -> int:
         return Graph(n, edges).count_triangles()
 
-    seed = (
-        construction_value
-        if construction_value is not None and construction_free
-        else 0
-    )
-    value, witness_keys, nodes = _levelwise_max(
-        n, items, is_free, objective, seed, budget
-    )
-    return TuranResult(
-        n=n,
-        pattern=pattern,
-        value=value,
-        exhaustive=True,
-        extremal_witnesses=tuple(witness_keys),
-        lower_bound_construction_value=construction_value,
-        construction_free=construction_free,
-        matches_construction=(
-            None if construction_value is None else value == construction_value
-        ),
-        nodes=nodes,
+    return _exact_turan(
+        n,
+        pattern,
+        exhaustive,
+        budget,
+        construction_value,
+        construction_free,
+        2,
+        is_free,
+        objective,
     )
 
 
@@ -384,15 +376,19 @@ def cached_turan(
     pattern: Graph,
     cache_dir: Path | None,
     compute,
+    exhaustive: bool = True,
 ) -> dict:
-    """Content-addressed JSON cache keyed by (mode, n, canonical pattern)."""
+    """Content-addressed JSON cache keyed by (mode, n, canonical pattern),
+    plus "lower-only" for lower-bound results, so that those never answer
+    an exhaustive request (exhaustive keys are unchanged)."""
     if cache_dir is None:
         return compute().to_json()
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(
-        json.dumps([mode, n, canonical_graph_key(pattern)]).encode()
-    ).hexdigest()
+    key = [mode, n, canonical_graph_key(pattern)]
+    if not exhaustive:
+        key.append("lower-only")
+    digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
     path = cache_dir / f"turan-{digest}.json"
     if path.exists():
         return json.loads(path.read_text())

@@ -145,13 +145,6 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def is_forest(self) -> bool:
-        return all(
-            sum(1 for e in self.edges if e[0] in c_set or e[1] in c_set) == len(comp) - 1
-            for comp in self.components()
-            for c_set in (set(comp),)
-        )
-
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected() and len(self.edges) == self.n - 1
 
@@ -297,9 +290,6 @@ class TripleSystem:
         return sorted(self.pair_nbr.keys())
 
     # -- derived systems ----------------------------------------------------
-
-    def restrict(self, triples: Iterable[Triple]) -> "TripleSystem":
-        return TripleSystem(self.n, triples)
 
     def without_vertices(self, drop: Iterable[int]) -> "TripleSystem":
         ds = set(drop)
@@ -449,7 +439,3 @@ def matching_le1_structure(
     if centers:
         return StarClass(min(centers))
     raise AssertionError("pairwise-intersecting edge set must be a star or triangle")
-
-
-def count_triangles(graph: Graph) -> int:
-    return graph.count_triangles()

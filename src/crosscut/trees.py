@@ -467,14 +467,6 @@ def _centers(n: int, adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_code(adj: list[list[int]], root: int) -> str:
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(w, v) for w in adj[v] if w != parent)
-        return "(" + "".join(subs) + ")"
-
-    return code(root, -1)
-
-
 def tree_canonical(graph: Graph) -> tuple[str, Graph]:
     """Canonical code plus a canonically labeled copy of a tree.
 
@@ -486,7 +478,7 @@ def tree_canonical(graph: Graph) -> tuple[str, Graph]:
     n = graph.n
     adj = [graph.neighbors(v) for v in range(n)]
     centers = _centers(n, adj)
-    root = min(centers, key=lambda c: _rooted_code(adj, c))
+    root = min(centers, key=lambda c: _rooted_code_sub(adj, c, -1))
     label: dict[int, int] = {}
 
     def assign(v: int, parent: int) -> str:

@@ -178,6 +178,45 @@ def test_clean_trace_and_check(files, capsys):
     assert main(["check", "--certificate", str(trace), "--host", str(host)]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ('{"kind": "cleaning-trace"}', 5),
+        ('{"kind": "embedding", "embedding": {}}', 5),
+        ("not json", 5),
+        ('{"kind": "cleaning-trace", "k": 3, "t": 1}', 3),
+        ("[1, 2]", 5),
+    ],
+)
+def test_check_malformed_certificate(files, capsys, text, code):
+    cert = files / "bad_cert.json"
+    cert.write_text(text)
+    host = files / "p3_expansion.edges"
+    assert main(["check", "--certificate", str(cert), "--host", str(host)]) == code
+    if code == 3:
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
+def test_turan_lower_only_is_cached_apart(files, capsys, tmp_path):
+    args = [
+        "--cache-dir",
+        str(tmp_path / "cache"),
+        "turan",
+        "--mode",
+        "hypergraph",
+        "--n",
+        "5",
+        "--pattern",
+        str(files / "p2.edges"),
+    ]
+    assert main(args + ["--lower-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["exhaustive"] is False
+    assert main(args) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["exhaustive"] is True
+    assert result["value"] == 4
+
+
 def test_turan_cli_and_cache(files, capsys, tmp_path):
     cache = tmp_path / "cache"
     args = [
@@ -286,8 +325,13 @@ def test_deterministic_outputs_byte_identical(files, capsys):
 
 def test_config_file(files, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_nodes = 1000000\nworkers = 2\n# comment\n")
+    cfg.write_text("max_nodes = 1000000\nwall_clock_s = 60\n# comment\n")
     assert main(["--config", str(cfg), "tree", "stats", str(files / "p3.edges")]) == 0
+    verify = ["--config", str(cfg), "verify", "--suite", "facts", "--max-n", "4"]
+    assert main(verify) == 0
+    for line in ("workers = 2", "seed = 7", "output_format = edgelist"):
+        cfg.write_text(line + "\n")
+        assert main(verify) == 5
 
 
 def test_csv_output(files, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from crosscut.builders import s_construction, s_graph, s_size
+from crosscut.config import SearchBudget
 from crosscut.errors import BudgetExceededError, InputError
 from crosscut.lab import (
     anti_ramsey_bounds,
@@ -91,6 +92,14 @@ class TestExactTuranHypergraph:
     def test_budget_gate(self):
         with pytest.raises(BudgetExceededError):
             exact_turan_hypergraph(8, path_graph(2))
+
+
+@pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
+def test_turan_honours_the_caller_budget(solve):
+    with pytest.raises(BudgetExceededError):
+        solve(5, path_graph(2), budget=SearchBudget(max_nodes=1))
+    budget = SearchBudget()
+    assert solve(5, path_graph(2), budget=budget).nodes == budget.nodes > 0
 
 
 class TestExactGeneralizedTuran:
