@@ -125,7 +125,7 @@ def _cmd_coloring(args) -> int:
 
 
 def _cmd_contains(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = args.cfg
     pattern = load_graph(args.pattern)
     budget = cfg.budget()
     if args.pattern_kind == "expansion":
@@ -144,10 +144,9 @@ def _cmd_contains(args) -> int:
 
 
 def _cmd_rainbow(args) -> int:
-    cfg = _config_from_args(args)
     coloring = load_coloring(args.coloring)
     pattern = load_graph(args.pattern)
-    cert = find_rainbow_expansion(coloring, pattern, cfg.budget())
+    cert = find_rainbow_expansion(coloring, pattern, args.cfg.budget())
     if cert is None:
         return EXIT_NEGATIVE
     if args.certificate:
@@ -187,7 +186,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_turan(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = args.cfg
     pattern = load_graph(args.pattern)
     exhaustive = not args.lower_only
 
@@ -239,17 +238,16 @@ def _cmd_anti_ramsey(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
     report = lab.verify_theorem_suite(args.suite, args.max_n)
-    _emit(report, args.out, rows=report["checks"], fmt=cfg.output_format)
+    _emit(report, args.out, rows=report["checks"], fmt=args.cfg.output_format)
     return EXIT_FOUND if report["all_pass"] else EXIT_NEGATIVE
 
 
 def _embedding_from(data: dict, path: str) -> Embedding:
     try:
-        return Embedding.from_json(data["embedding"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed embedding: {exc!r}") from None
+        return Embedding.from_json(data.get("embedding"))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _cmd_check(args) -> int:
@@ -439,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        args.cfg = _config_from_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -84,6 +84,9 @@ def config_from_mapping(pairs: dict[str, str], base: RunConfig | None = None) ->
     for key, value in pairs.items():
         if key not in known:
             raise InputError(f"unknown config key {key!r}")
-        setattr(cfg, key, known[key](value))
+        try:
+            setattr(cfg, key, known[key](value))
+        except ValueError:
+            raise InputError(f"bad value {value!r} for config key {key!r}") from None
     cfg.__post_init__()
     return cfg

@@ -6,7 +6,10 @@ fresh host vertex.  The search backtracks over shadow embeddings (pattern
 vertices by decreasing degree adjusted for connectivity, host candidates by
 increasing id) and assigns completion vertices by bipartite matching, so the
 decision never depends on greedy slack; a matching failure backtracks into
-the shadow phase.
+the shadow phase.  The matching is kept along the DFS and repaired by
+alternating paths as vertices enter the core and edges complete, and the
+canonical (lexicographically least) assignment is derived from it at the
+leaf; partial-copy completion uses the same matcher.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .builders import Coloring, triangle_system
@@ -50,6 +52,13 @@ class Embedding:
         raise KeyError(e)
 
     def violations(self, host: TripleSystem | Graph) -> list[str]:
+        """Reasons the embedding fails in the host (empty when it holds).
+        A host of the other kind is an InputError, not a violation."""
+        host_kind = "3graph" if isinstance(host, TripleSystem) else "graph"
+        if host_kind != self.host_kind:
+            raise InputError(
+                f"a {self.host_kind} embedding cannot be checked against a {host_kind} host"
+            )
         out = []
         if len(self.core_map) != self.pattern.n:
             out.append("core map size mismatch")
@@ -66,11 +75,9 @@ class Embedding:
         for (u, v), w in self.expansion_map:
             a, b = self.core_map[u], self.core_map[v]
             if self.host_kind == "3graph":
-                assert isinstance(host, TripleSystem)
                 if not host.has_triple(a, b, w):
                     out.append(f"triple for pattern edge {(u, v)} missing")
             else:
-                assert isinstance(host, Graph)
                 if not (host.has_edge(a, b) and host.has_edge(a, w) and host.has_edge(b, w)):
                     out.append(f"triangle for pattern edge {(u, v)} missing")
         return out
@@ -93,16 +100,35 @@ class Embedding:
 
     @staticmethod
     def from_json(data: dict) -> "Embedding":
-        pattern = Graph(data["pattern"]["n"], [tuple(e) for e in data["pattern"]["edges"]])
-        return Embedding(
-            pattern=pattern,
-            core_map=tuple(data["core_map"]),
-            expansion_map=tuple(
-                (sorted_pair(*item["edge"]), item["vertex"])
+        """Parse the JSON form; any missing or mistyped field is an InputError."""
+        try:
+            pattern = Graph(
+                _json_int(data["pattern"]["n"]),
+                [_json_ints(e, 2) for e in data["pattern"]["edges"]],
+            )
+            core_map = _json_ints(data["core_map"])
+            expansion_map = tuple(
+                (sorted_pair(*_json_ints(item["edge"], 2)), _json_int(item["vertex"]))
                 for item in data["expansion_map"]
-            ),
-            host_kind=data["host_kind"],
-        )
+            )
+            host_kind = data["host_kind"]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed embedding: {exc!r}") from None
+        if host_kind not in ("3graph", "graph"):
+            raise InputError(f"unknown host kind {host_kind!r}")
+        return Embedding(pattern, core_map, expansion_map, host_kind)
+
+
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise InputError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, size: int | None = None) -> tuple[int, ...]:
+    if not isinstance(values, list) or size not in (None, len(values)):
+        raise InputError(f"expected a list of {size or 'some'} integers, got {values!r}")
+    return tuple(_json_int(x) for x in values)
 
 
 @dataclass(frozen=True)
@@ -114,71 +140,104 @@ class RainbowCertificate:
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching over bitmask candidate sets
+# completion matching
+#
+# Slots (pattern edges) are matched to host vertices: masks[s] holds the
+# candidates of slot s, match[s] its vertex (-1 while unmatched) and
+# owner[v] the slot holding vertex v (-1 while free).  The expansion search
+# keeps one such matching along its DFS, so each step costs a few
+# alternating-path searches (Hopcroft & Karp 1973) instead of a matching
+# computed from scratch.
 
 
-def _max_matching(masks: list[int]) -> tuple[int, dict[int, int]]:
-    """Maximum matching of slots to candidate bits; returns (size, owner)
-    with owner mapping vertex -> slot index."""
-    owner: dict[int, int] = {}
+def _augment(
+    slot: int, masks: list[int], blocked: int, match: list[int], owner: list[int]
+) -> bool:
+    """Search an alternating path from the unmatched slot that avoids the
+    vertices in `blocked`.  On success the path is flipped, so the slot is
+    matched as well, and True is returned; on failure nothing changes.
 
-    def augment(i: int, seen: list[int]) -> bool:
-        cand = masks[i] & ~seen[0]
+    When every other slot is matched, a matching covering all slots exists
+    iff such a path exists (Berge), so one call decides feasibility.
+    """
+    seen = blocked
+    stack = [slot]  # stack[j + 1] owns the vertex via[j] that stack[j] wants
+    via: list[int] = []
+    while stack:
+        cand = masks[stack[-1]] & ~seen
+        if not cand:
+            stack.pop()
+            if via:
+                via.pop()
+            continue
+        bit = cand & -cand
+        seen |= bit
+        v = bit.bit_length() - 1
+        holder = owner[v]
+        if holder >= 0:
+            stack.append(holder)
+            via.append(v)
+            continue
+        for j in range(len(stack) - 1, -1, -1):
+            s = stack[j]
+            match[s] = v
+            owner[v] = s
+            if j:
+                v = via[j - 1]
+        return True
+    return False
+
+
+def _lex_least(
+    masks: list[int], blocked: int, match: list[int], owner: list[int], slots: Iterable[int]
+) -> list[int]:
+    """Lexicographically least assignment of the given slots, in that order,
+    derived from a matching that already covers every slot.
+
+    Each slot in turn is fixed to its least vertex that still admits a
+    matching of the unfixed slots: moving it onto vertex v displaces v's
+    holder, and one alternating-path search from the holder, with v and the
+    fixed slots' vertices blocked, decides v.  The current vertex always
+    qualifies, so only smaller ones are tried.
+    """
+    fixed = blocked
+    out = []
+    for s in slots:
+        w = match[s]
+        cand = masks[s] & ~fixed & ((1 << w) - 1)
         while cand:
             bit = cand & -cand
-            v = bit.bit_length() - 1
             cand ^= bit
-            seen[0] |= bit
-            if v not in owner or augment(owner[v], seen):
-                owner[v] = i
-                return True
-        return False
-
-    size = 0
-    for i in range(len(masks)):
-        if augment(i, [0]):
-            size += 1
-    return size, owner
-
-
-def _matchable(masks: list[int], need: int) -> bool:
-    size, _ = _max_matching(masks)
-    return size >= need
-
-
-def _lex_min_assignment(masks: list[int]) -> list[int] | None:
-    """Lexicographically least system of distinct representatives, or None."""
-    m = len(masks)
-    if not _matchable(masks, m):
-        return None
-    chosen: list[int] = []
-    used = 0
-    for i in range(m):
-        cand = masks[i] & ~used
-        picked = -1
-        while cand:
-            bit = cand & -cand
             v = bit.bit_length() - 1
-            cand ^= bit
-            rest = [masks[j] & ~(used | bit) for j in range(i + 1, m)]
-            if _matchable(rest, m - i - 1):
-                picked = v
+            holder = owner[v]
+            owner[w] = -1
+            match[s] = v
+            owner[v] = s
+            if holder < 0:
+                w = v
                 break
-        if picked < 0:
-            return None
-        chosen.append(picked)
-        used |= 1 << picked
-    return chosen
-
-
-def _any_assignment(masks: list[int]) -> list[int] | None:
-    size, owner = _max_matching(masks)
-    if size < len(masks):
-        return None
-    out = [0] * len(masks)
-    for v, i in owner.items():
-        out[i] = v
+            match[holder] = -1
+            if _augment(holder, masks, fixed | bit, match, owner):
+                w = v
+                break
+            match[s] = w
+            owner[w] = s
+            match[holder] = v
+            owner[v] = holder
+        fixed |= 1 << w
+        out.append(w)
     return out
+
+
+def _lex_least_sdr(masks: list[int]) -> list[int] | None:
+    """Lexicographically least system of distinct representatives of the
+    masks, or None when there is none."""
+    match = [-1] * len(masks)
+    owner = [-1] * max((mask.bit_length() for mask in masks), default=0)
+    for s in range(len(masks)):
+        if not _augment(s, masks, 0, match, owner):
+            return None
+    return _lex_least(masks, 0, match, owner, range(len(masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +265,6 @@ def _embedding_order(pattern: Graph) -> list[int]:
     return order
 
 
-@lru_cache(maxsize=256)
-def _vertex_orbit(pattern: Graph, v0: int) -> frozenset[int]:
-    """Automorphism orbit of one pattern vertex (patterns are tiny)."""
-    degs = pattern.degrees()
-    orbit = {v0}
-    verts = list(range(pattern.n))
-    for perm in itertools.permutations(verts):
-        if any(degs[v] != degs[perm[v]] for v in verts):
-            continue
-        if all(pattern.has_edge(perm[u], perm[v]) for u, v in pattern.edges):
-            orbit.add(perm[v0])
-    return frozenset(orbit)
-
-
 def find_expansion(
     host: TripleSystem,
     pattern: Graph,
@@ -228,85 +273,111 @@ def find_expansion(
 ) -> Embedding | None:
     """Decide whether the pattern's expansion embeds in the host; exact.
 
-    Returns None iff no embedding exists.  With deterministic=True the
-    certificate is canonical: least shadow images in the fixed search order,
-    then the lexicographically least completion assignment; orbit pruning is
-    only applied otherwise, where any witness is acceptable.
+    Returns None iff no embedding exists.  The DFS places pattern vertices
+    in `_embedding_order`, host candidates by increasing id, and accepts a
+    candidate only if the completed pattern edges still have distinct
+    completion vertices outside the core.  That matching is kept along the
+    DFS: a candidate that enters the core re-augments only the slot that
+    held it, each newly completed edge is augmented once, and a frame's
+    matching is restored on backtrack.  With deterministic=True the
+    certificate is canonical: least shadow images in the search order, then
+    the lexicographically least completion assignment; otherwise the leaf
+    takes the matching it holds.
     """
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
     m = len(pattern.edges)
     if pattern.n + m > host.n:
         return None
-    shadow = host.shadow()
+    pair_nbr = host.pair_nbr
+    adj = [0] * host.n
+    for a, b in pair_nbr:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     order = _embedding_order(pattern)
     pos = {v: i for i, v in enumerate(order)}
+    # back[i]: depths of the placed neighbours of order[i]; the edge to each
+    # is completed at depth i and gets slot first_slot[i] + j
+    back = [
+        sorted(pos[w] for w in pattern.neighbors(u) if pos[w] < i)
+        for i, u in enumerate(order)
+    ]
+    first_slot = list(itertools.accumulate((len(b) for b in back), initial=0))
     pat_edges = pattern.edge_list()
-    completed_at: list[list[int]] = [[] for _ in order]
-    for ei, (u, v) in enumerate(pat_edges):
-        completed_at[max(pos[u], pos[v])].append(ei)
-    full_mask = (1 << host.n) - 1
-    orbit = frozenset() if deterministic else _vertex_orbit(pattern, order[0]) - {order[0]}
+    edge_slot = []
+    for a, b in pat_edges:
+        i, d = max(pos[a], pos[b]), min(pos[a], pos[b])
+        edge_slot.append(first_slot[i] + back[i].index(d))
 
-    images = [-1] * pattern.n
-    edge_raw = [0] * m  # host pair-neighborhood mask, set when the edge completes
-    active_edges: list[int] = []
-
-    def feasible(core_mask: int) -> bool:
-        masks = [edge_raw[e] & ~core_mask for e in active_edges]
-        return _matchable(masks, len(masks))
-
-    def dfs(i: int, core_mask: int) -> Embedding | None:
-        if budget is not None:
-            budget.tick()
-        if i == pattern.n:
-            masks = [edge_raw[e] & ~core_mask for e in range(m)]
-            assign = (
-                _lex_min_assignment(masks) if deterministic else _any_assignment(masks)
-            )
-            if assign is None:
+    last = pattern.n - 1
+    full = (1 << host.n) - 1
+    hs = [0] * pattern.n  # host image of order[i]
+    cands = [0] * pattern.n  # untried candidates at depth i
+    saved: list[tuple[list[int], list[int]]] = [([], [])] * pattern.n
+    masks = [0] * m
+    match = [-1] * m
+    owner = [-1] * host.n
+    if budget is not None:
+        budget.tick()
+    i = 0
+    core = 0
+    cands[0] = full
+    saved[0] = (match[:], owner[:])
+    while True:
+        cand = cands[i]
+        if not cand:
+            if i == 0:
                 return None
-            return Embedding(
-                pattern=pattern,
-                core_map=tuple(images),
-                expansion_map=tuple(
-                    (pat_edges[e], assign[e]) for e in range(m)
-                ),
-                host_kind="3graph",
-            )
-        u = order[i]
-        placed_nbrs = [w for w in pattern.neighbors(u) if pos[w] < i]
-        cand = full_mask
-        for w in placed_nbrs:
-            cand &= shadow.adj[images[w]]
-        cand &= ~core_mask
-        if u in orbit and images[order[0]] >= 0:
-            cand &= ~((1 << (images[order[0]] + 1)) - 1)
-        while cand:
-            bit = cand & -cand
-            h = bit.bit_length() - 1
-            cand ^= bit
-            images[u] = h
-            new_edges = completed_at[i]
-            ok = True
-            for e in new_edges:
-                a, b = pat_edges[e]
-                raw = host.codegree_mask(images[a], images[b])
-                if raw == 0:
+            i -= 1
+            core ^= 1 << hs[i]
+            match[:], owner[:] = saved[i]
+            continue
+        bit = cand & -cand
+        cands[i] = cand ^ bit
+        h = bit.bit_length() - 1
+        inner = core | bit
+        ok = True
+        holder = owner[h]
+        if holder >= 0:
+            owner[h] = -1
+            match[holder] = -1
+            ok = _augment(holder, masks, inner, match, owner)
+        if ok:
+            s = first_slot[i]
+            for d in back[i]:
+                a = hs[d]
+                masks[s] = pair_nbr[(a, h) if a < h else (h, a)]
+                if not _augment(s, masks, inner, match, owner):
                     ok = False
                     break
-                edge_raw[e] = raw
-            if ok:
-                active_edges.extend(new_edges)
-                if feasible(core_mask | bit):
-                    result = dfs(i + 1, core_mask | bit)
-                    if result is not None:
-                        return result
-                del active_edges[len(active_edges) - len(new_edges):]
-            images[u] = -1
-        return None
-
-    return dfs(0, 0)
+                s += 1
+        if not ok:
+            match[:], owner[:] = saved[i]
+            continue
+        if budget is not None:
+            budget.tick()
+        hs[i] = h
+        if i == last:
+            if deterministic:
+                assign = _lex_least(masks, inner, match, owner, edge_slot)
+            else:
+                assign = [match[s] for s in edge_slot]
+            # tuple() of a list, not of an iterator: the latter allocates a
+            # spare-size tuple and shrinks it, and shrunk tuples pile up in
+            # CPython's tuple free lists until a full collection
+            return Embedding(
+                pattern=pattern,
+                core_map=tuple([hs[pos[v]] for v in range(pattern.n)]),
+                expansion_map=tuple(list(zip(pat_edges, assign))),
+                host_kind="3graph",
+            )
+        i += 1
+        core = inner
+        cand = full & ~core
+        for d in back[i]:
+            cand &= adj[hs[d]]
+        cands[i] = cand
+        saved[i] = (match[:], owner[:])
 
 
 def find_blowup(
@@ -371,7 +442,7 @@ def complete_partial_expansion(
     masks = [
         host.codegree_mask(*p) & ~core_mask & ~pre_mask for p in unassigned
     ]
-    assign = _lex_min_assignment(masks)
+    assign = _lex_least_sdr(masks)
     if assign is None:
         return None
     completion = dict(pre)
@@ -697,65 +768,76 @@ def find_rainbow_expansion(
     3-graph whose edge triples all receive distinct colors."""
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
-    n = coloring.n
-    m = len(pattern.edges)
-    if pattern.n + m > n:
+    if pattern.n + len(pattern.edges) > coloring.n:
         return None
-    order = _embedding_order(pattern)
-    images = [-1] * pattern.n
-    pat_edges = pattern.edge_list()
+    return _RainbowSearch(coloring, pattern, budget).place(0, 0)
 
-    def assign(idx: int, used_mask: int, used_colors: set[int], ws: list[int]):
-        if budget is not None:
-            budget.tick()
-        if idx == m:
-            return list(ws)
-        u, v = pat_edges[idx]
-        a, b = images[u], images[v]
-        for w in range(n):
-            if (used_mask >> w) & 1:
-                continue
-            c = coloring.color(a, b, w)
-            if c in used_colors:
-                continue
-            used_colors.add(c)
-            ws.append(w)
-            got = assign(idx + 1, used_mask | (1 << w), used_colors, ws)
-            if got is not None:
-                return got
-            ws.pop()
-            used_colors.remove(c)
-        return None
 
-    def place(i: int, core_mask: int):
-        if budget is not None:
-            budget.tick()
-        if i == pattern.n:
-            got = assign(0, core_mask, set(), [])
+class _RainbowSearch:
+    """Backtracking for find_rainbow_expansion: place() picks the core
+    images in embedding order, complete() the completion vertices; every
+    call of either is one budget node."""
+
+    __slots__ = ("coloring", "pattern", "budget", "order", "pat_edges", "images")
+
+    def __init__(self, coloring: Coloring, pattern: Graph, budget: SearchBudget | None):
+        self.coloring = coloring
+        self.pattern = pattern
+        self.budget = budget
+        self.order = _embedding_order(pattern)
+        self.pat_edges = pattern.edge_list()
+        self.images = [-1] * pattern.n
+
+    def place(self, i: int, core_mask: int) -> RainbowCertificate | None:
+        if self.budget is not None:
+            self.budget.tick()
+        images = self.images
+        if i == self.pattern.n:
+            got = self.complete(0, core_mask, set(), [])
             if got is None:
                 return None
             emb = Embedding(
-                pattern=pattern,
+                pattern=self.pattern,
                 core_map=tuple(images),
-                expansion_map=tuple(
-                    (pat_edges[e], got[e]) for e in range(m)
-                ),
+                expansion_map=tuple(zip(self.pat_edges, got)),
                 host_kind="3graph",
             )
             colors = tuple(
-                coloring.color(images[u], images[v], got[e])
-                for e, (u, v) in enumerate(pat_edges)
+                self.coloring.color(images[u], images[v], w)
+                for (u, v), w in zip(self.pat_edges, got)
             )
             return RainbowCertificate(emb, colors)
-        u = order[i]
-        for h in range(n):
+        u = self.order[i]
+        for h in range(self.coloring.n):
             if (core_mask >> h) & 1:
                 continue
             images[u] = h
-            got = place(i + 1, core_mask | (1 << h))
+            got = self.place(i + 1, core_mask | (1 << h))
             if got is not None:
                 return got
             images[u] = -1
         return None
 
-    return place(0, 0)
+    def complete(
+        self, idx: int, used_mask: int, used_colors: set[int], ws: list[int]
+    ) -> list[int] | None:
+        if self.budget is not None:
+            self.budget.tick()
+        if idx == len(self.pat_edges):
+            return list(ws)
+        u, v = self.pat_edges[idx]
+        a, b = self.images[u], self.images[v]
+        for w in range(self.coloring.n):
+            if (used_mask >> w) & 1:
+                continue
+            c = self.coloring.color(a, b, w)
+            if c in used_colors:
+                continue
+            used_colors.add(c)
+            ws.append(w)
+            got = self.complete(idx + 1, used_mask | (1 << w), used_colors, ws)
+            if got is not None:
+                return got
+            ws.pop()
+            used_colors.remove(c)
+        return None

@@ -109,8 +109,11 @@ def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
         slot += len(cls)
     active = [i for i, cls in enumerate(classes) if set(cls) & touched]
     best: tuple | None = None
+    # lists, not iterators, for product(): tuples built from iterators are
+    # allocated at a spare size and shrunk, and pile up in CPython's tuple
+    # free lists until a full collection
     for perm_parts in itertools.product(
-        *(itertools.permutations(classes[i]) for i in active)
+        *[list(itertools.permutations(classes[i])) for i in active]
     ):
         relabel: dict[int, int] = {}
         for i, perm in zip(active, perm_parts):

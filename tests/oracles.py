@@ -46,6 +46,25 @@ def _sdr_exists(cands: list[list[int]], i: int, used: set[int]) -> bool:
     )
 
 
+def lex_least_sdr_naive(masks: list[int]) -> list[int] | None:
+    """First system of distinct representatives of the bitmasks in
+    lexicographic order (plain backtracking over increasing vertices)."""
+    chosen: list[int] = []
+
+    def extend(i: int) -> bool:
+        if i == len(masks):
+            return True
+        for w in range(masks[i].bit_length()):
+            if (masks[i] >> w) & 1 and w not in chosen:
+                chosen.append(w)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return chosen if extend(0) else None
+
+
 def contains_subgraph_naive(host: Graph, pattern: Graph) -> bool:
     """Plain backtracking injective homomorphism test (not induced)."""
     if pattern.n > host.n:

@@ -94,6 +94,48 @@ def test_criterion_02_construction_freeness_every_tree():
     )
 
 
+def test_criterion_02_counterexamples_are_pinned():
+    # the six (tree, n) embeddings criterion 02 reports, with their canonical
+    # certificates; each double star embeds from n = |V| + |E| on, its two
+    # centres on the apexes
+    double_star_6 = Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3)])
+    double_star_7 = Graph(7, [(0, 1), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4)])
+    expected = {
+        (6, 11): ((0, 1, 2, 3, 4, 5), [6, 7, 8, 9, 10]),
+        (6, 12): ((0, 1, 2, 3, 4, 5), [6, 7, 8, 9, 10]),
+        (6, 13): ((0, 1, 2, 3, 4, 5), [6, 7, 8, 9, 10]),
+        (6, 14): ((0, 1, 2, 3, 4, 5), [6, 7, 8, 9, 10]),
+        (7, 13): ((1, 0, 2, 3, 4, 5, 6), [7, 8, 9, 10, 11, 12]),
+        (7, 14): ((1, 0, 2, 3, 4, 5, 6), [7, 8, 9, 10, 11, 12]),
+    }
+    got = {}
+    for tree in (double_star_6, double_star_7):
+        assert crosscut_value(tree) - 1 == 2
+        assert find_expansion(s_construction(tree.n + len(tree.edges) - 1, 2), tree) is None
+        for n in range(tree.n + len(tree.edges), 15):
+            emb = find_expansion(s_construction(n, 2), tree)
+            assert emb is not None and emb.validate(s_construction(n, 2))
+            got[(tree.n, n)] = (emb.core_map, [w for _, w in emb.expansion_map])
+    assert got == expected
+
+
+def test_criterion_13_chord_triangle_witness_is_pinned():
+    # the rainbow copy criterion 13 reports for the chord-triangle shape
+    chord = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    result = anti_ramsey_bounds(8, path_graph(3), chord)
+    cert = result.rainbow_certificate
+    assert cert is not None and result.rainbow_free is False
+    assert cert.embedding.core_map == (1, 2, 0, 3)
+    assert cert.embedding.expansion_map == (((0, 1), 4), ((0, 2), 5), ((1, 2), 6), ((2, 3), 7))
+    assert cert.colors == (21, 3, 9, 14)
+    assert cert.embedding.validate(TripleSystem(8, itertools.combinations(range(8), 3)))
+    images = cert.embedding.core_map
+    assert cert.colors == tuple(
+        result.coloring.color(images[u], images[v], w)
+        for (u, v), w in cert.embedding.expansion_map
+    )
+
+
 def test_criterion_03_cycle_crosscut_formula():
     bad = [
         k

@@ -178,6 +178,15 @@ def test_clean_trace_and_check(files, capsys):
     assert main(["check", "--certificate", str(trace), "--host", str(host)]) == 0
 
 
+# the canonical certificate of path_graph(3) in its own expansion
+P3_EMBEDDING = (
+    '{"kind": "embedding", "embedding": {"host_kind": "3graph", '
+    '"pattern": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}, '
+    '"core_map": [0, 1, 2, 3], "expansion_map": [{"edge": [0, 1], "vertex": 4}, '
+    '{"edge": [1, 2], "vertex": 5}, {"edge": [2, 3], "vertex": 6}]}}'
+)
+
+
 @pytest.mark.parametrize(
     "text, code",
     [
@@ -186,6 +195,12 @@ def test_clean_trace_and_check(files, capsys):
         ("not json", 5),
         ('{"kind": "cleaning-trace", "k": 3, "t": 1}', 3),
         ("[1, 2]", 5),
+        (P3_EMBEDDING.replace('"3graph"', '"graph"'), 5),
+        (P3_EMBEDDING.replace('"3graph"', '"4graph"'), 5),
+        (P3_EMBEDDING.replace('"core_map": [0', '"core_map": ["0"'), 5),
+        (P3_EMBEDDING.replace('"vertex": 4', '"vertex": 4.0'), 5),
+        (P3_EMBEDDING.replace('[2, 3]]', '[2, 3, 4]]'), 5),
+        (P3_EMBEDDING, 0),
     ],
 )
 def test_check_malformed_certificate(files, capsys, text, code):
@@ -332,6 +347,23 @@ def test_config_file(files, tmp_path, capsys):
     for line in ("workers = 2", "seed = 7", "output_format = edgelist"):
         cfg.write_text(line + "\n")
         assert main(verify) == 5
+
+
+def test_config_file_is_validated_for_every_subcommand(files, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    p2 = str(files / "p2.edges")
+    commands = [
+        ["tree", "stats", p2],
+        ["construct", "s", "--n", "6", "--t", "1", "--out", str(tmp_path / "s.edges")],
+        ["clean", "--k", "3", "--t", "1", "--in", str(files / "p3_expansion.edges"),
+         "--trace", str(tmp_path / "trace.json")],
+        ["anti-ramsey", "--tree", p2, "--aug", p2, "--n", "6"],
+    ]
+    for line in ("bogus = 1", "max_nodes = many", "wall_clock_s = soon"):
+        cfg.write_text(line + "\n")
+        for argv in commands:
+            assert main(["--config", str(cfg)] + argv) == 5, (line, argv)
+    assert main(["--config", str(tmp_path / "missing.cfg"), "tree", "stats", p2]) == 5
 
 
 def test_csv_output(files, capsys):

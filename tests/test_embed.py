@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscut.builders import (
     constant_coloring,
@@ -12,8 +14,12 @@ from crosscut.builders import (
     triangle_blowup,
     triangle_system,
 )
+from crosscut.config import SearchBudget
 from crosscut.embed import (
     AlternatingWitness,
+    _augment,
+    _lex_least,
+    _lex_least_sdr,
     complete_partial_expansion,
     embed_tree_two_sets,
     find_blowup,
@@ -26,7 +32,12 @@ from crosscut.structures import Graph, TripleSystem
 from crosscut.trees import complete_graph, cycle_graph, path_graph, star_graph
 
 from conftest import random_graph, random_triple_system
-from oracles import contains_expansion_naive, contains_subgraph_naive, rainbow_naive
+from oracles import (
+    contains_expansion_naive,
+    contains_subgraph_naive,
+    lex_least_sdr_naive,
+    rainbow_naive,
+)
 
 
 def complete_3graph(n):
@@ -111,6 +122,134 @@ class TestFindExpansion:
         a = find_expansion(host, cycle_graph(4))
         b = find_expansion(host, cycle_graph(4))
         assert a == b
+
+    def test_node_counts_are_pinned(self):
+        # the candidate order and one budget tick per node are part of the
+        # search's contract, so these counts change only with the search
+        double_star = Graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3)])
+        searches = [
+            (s_construction(9, 1), path_graph(3)),
+            (s_construction(11, 2), path_graph(5)),
+            (s_construction(11, 2), double_star),
+            (s_construction(9, 2), cycle_graph(4)),
+        ]
+        rng = random.Random(2024)
+        for _ in range(6):
+            host = random_triple_system(rng, 12, 0.06)
+            searches += [
+                (host, pat)
+                for pat in (path_graph(4), cycle_graph(4), star_graph(3), double_star)
+            ]
+        nodes, missing = [], []
+        for k, (host, pat) in enumerate(searches):
+            budget = SearchBudget()
+            if find_expansion(host, pat, True, budget) is None:
+                missing.append(k)
+            nodes.append(budget.nodes)
+        assert nodes == [
+            138, 4568, 7, 13,
+            10, 6, 47, 206, 37, 41, 12, 110, 17, 5, 41, 577,
+            31, 26, 9, 824, 6, 6, 5, 2167, 20, 66, 8, 369,
+        ]
+        assert missing == [0, 1, 15, 23, 27]
+
+
+class TestCompletionMatcher:
+    masks = st.lists(st.integers(0, (1 << 10) - 1), min_size=1, max_size=6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(masks)
+    def test_lex_least_sdr_matches_brute_force(self, masks):
+        assert _lex_least_sdr(masks) == lex_least_sdr_naive(masks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("slot"), st.integers(0, (1 << 10) - 1)),
+                st.tuples(st.just("block"), st.integers(0, 9)),
+            ),
+            max_size=12,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_incremental_matching_matches_brute_force(self, ops, rng):
+        # the expansion search's use: slots are added one augmentation at a
+        # time, a blocked vertex re-augments only the slot that held it, and
+        # the least assignment is derived from the matching held at the end
+        masks: list[int] = []
+        match: list[int] = []
+        owner = [-1] * 10
+        blocked = 0
+        for kind, x in ops:
+            if kind == "slot":
+                if len(masks) == 6:
+                    continue
+                masks.append(x)
+                match.append(-1)
+                ok = _augment(len(masks) - 1, masks, blocked, match, owner)
+            else:
+                if (blocked >> x) & 1:
+                    continue
+                blocked |= 1 << x
+                holder = owner[x]
+                ok = True
+                if holder >= 0:
+                    owner[x] = -1
+                    match[holder] = -1
+                    ok = _augment(holder, masks, blocked, match, owner)
+            effective = [mask & ~blocked for mask in masks]
+            assert ok == (lex_least_sdr_naive(effective) is not None)
+            if not ok:
+                return
+            assert all((effective[s] >> v) & 1 and owner[v] == s for s, v in enumerate(match))
+        order = list(range(len(masks)))
+        rng.shuffle(order)
+        expect = lex_least_sdr_naive([masks[s] & ~blocked for s in order])
+        assert _lex_least(masks, blocked, match, owner, order) == expect
+
+    def test_certificates_use_the_least_completion(self):
+        # brute force over every SDR of the canonical shadow images
+        rng = random.Random(61)
+        for _ in range(40):
+            host = random_triple_system(rng, rng.randint(7, 11), rng.uniform(0.15, 0.6))
+            for pat in (path_graph(3), cycle_graph(4), star_graph(3)):
+                emb = find_expansion(host, pat)
+                if emb is None:
+                    continue
+                core = set(emb.core_map)
+                masks = [
+                    host.codegree_mask(emb.core_map[u], emb.core_map[v])
+                    & ~sum(1 << x for x in core)
+                    for u, v in pat.edge_list()
+                ]
+                assert [w for _, w in emb.expansion_map] == lex_least_sdr_naive(masks)
+
+
+class TestNoCyclicGarbage:
+    """The searches are written without self-referential closures, so a
+    call leaves nothing for the cycle collector."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: find_expansion(s_construction(9, 2), path_graph(3)),
+            lambda: find_expansion(s_construction(9, 1), path_graph(3)),
+            lambda: find_blowup(s_graph(9, 1), path_graph(2)),
+            lambda: complete_partial_expansion(s_construction(9, 2), [(0, 2), (2, 3)]),
+            lambda: find_rainbow_expansion(lower_bound_coloring(s_construction(7, 1)), path_graph(2)),
+            lambda: find_rainbow_expansion(constant_coloring(7), path_graph(2)),
+        ],
+        ids=["expansion-found", "expansion-none", "blowup", "partial", "rainbow-found", "rainbow-none"],
+    )
+    def test_search_leaves_no_cycles(self, search):
+        gc.collect()
+        gc.disable()
+        try:
+            search()
+        finally:
+            gc.enable()
+        assert gc.collect() == 0
 
 
 class TestFindBlowup:
