@@ -6,11 +6,19 @@ set aside first; then, while the shadow contains a pair that is deficient
 (codegree <= t-1), tight-and-coupled (codegree exactly t next to a second
 codegree-t pair inside one edge), or intermediate (codegree in [t+1, 3k-1]),
 the least such pair of minimum type is removed together with every edge
-through it.  Termination leaves a (t, 3k)-superfull system.
+through it.  Termination leaves a (t, 3k)-superfull system.  Pair types are
+kept across removals and only the pairs a removal can affect are
+classified again.
+
+Linear extraction is a greedy minimum-degree independent set in the graph
+of edges sharing i vertices; it runs in near-linear time from vertex or
+pair incidence buckets and a lazy heap of live degrees, without building
+that graph.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -105,15 +113,31 @@ def _classify_pair(
 
 
 def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
-    """Run the removal process; ties among minimum-type pairs break
-    lexicographically, so traces are reproducible."""
+    """Run the removal process on `system` with parameters `k` (pairs of
+    codegree up to 3k-1 count as intermediate, and edges whose pairs all
+    have codegree at most 3k are set aside first) and `t` (the tight
+    codegree); ties among minimum-type pairs break lexicographically, so
+    traces are reproducible.
+
+    Pair types are kept in `tag` with a lazy heap of (type, pair) entries.
+    A pair's type depends only on its own codegree and on the codegrees of
+    the pairs that share a live edge with it, so after a removal only the
+    pairs of the removed edges and, for each of those pairs p still present
+    and each w completing p, the pairs (p0, w) and (p1, w) are classified
+    again.  Every typed pair has an entry matching its current type, so the
+    first popped entry that still matches is the least (type, pair) a full
+    rescan would find.
+    """
     if not (isinstance(k, int) and isinstance(t, int) and k >= t >= 0):
         raise InputError(f"need integers k >= t >= 0, got k={k}, t={t}")
+    pair_nbr = system.pair_nbr
     sparse = set()
     for e in system.edges:
         a, b, c = e
         dmax = max(
-            system.codegree(a, b), system.codegree(a, c), system.codegree(b, c)
+            pair_nbr[(a, b)].bit_count(),
+            pair_nbr[(a, c)].bit_count(),
+            pair_nbr[(b, c)].bit_count(),
         )
         if dmax <= 3 * k:
             sparse.add(e)
@@ -124,27 +148,39 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
         nbrs.setdefault((a, c), set()).add(b)
         nbrs.setdefault((b, c), set()).add(a)
 
+    tag: dict[Pair, int] = {}
+    heap: list[tuple[int, Pair]] = []
     removed: list[tuple[Pair, int]] = []
+    dirty = set(nbrs)
     while True:
-        best: tuple[int, Pair] | None = None
-        for pair in nbrs:
-            tag = _classify_pair(pair, nbrs, t, k)
-            if tag is not None and (best is None or (tag, pair) < best):
-                best = (tag, pair)
-        if best is None:
+        for p in dirty:
+            kind = _classify_pair(p, nbrs, t, k) if p in nbrs else None
+            if kind is None:
+                tag.pop(p, None)
+            elif tag.get(p) != kind:
+                tag[p] = kind
+                heapq.heappush(heap, (kind, p))
+        while heap and tag.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        tag, pair = best
-        removed.append((pair, tag))
-        doomed = [tuple(sorted((pair[0], pair[1], w))) for w in nbrs[pair]]
-        for e in doomed:
-            a, b, c = e
-            edges.discard(e)
-            for p, w in (((a, b), c), ((a, c), b), ((b, c), a)):
-                bucket = nbrs.get(p)
-                if bucket is not None:
-                    bucket.discard(w)
-                    if not bucket:
-                        del nbrs[p]
+        kind, pair = heapq.heappop(heap)
+        removed.append((pair, kind))
+        touched: set[Pair] = set()
+        for w in list(nbrs[pair]):
+            a, b, c = sorted((pair[0], pair[1], w))
+            edges.discard((a, b, c))
+            for p, x in (((a, b), c), ((a, c), b), ((b, c), a)):
+                bucket = nbrs[p]
+                bucket.discard(x)
+                if not bucket:
+                    del nbrs[p]
+                touched.add(p)
+        dirty = set(touched)
+        for u, v in touched:
+            for w in nbrs.get((u, v), ()):
+                dirty.add(sorted_pair(u, w))
+                dirty.add(sorted_pair(v, w))
 
     return CleaningTrace(
         k=k,
@@ -233,33 +269,59 @@ def max_i_degree(system: TripleSystem, i: int) -> int:
 
 
 def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
-    """Subsystem in which every i-subset lies in at most one edge, of size
-    at least |H| / (3 * max i-degree).
+    """Subsystem of `system` in which every i-subset (`i` is 1 or 2) lies
+    in at most one edge, of size at least |H| / (3 * max i-degree).
 
     Greedy minimum-degree independent set in the auxiliary graph joining
     edges that share at least i vertices (ties break lexicographically).
+    That graph is never built: each edge's neighbours are the union of its
+    vertex (i = 1) or pair (i = 2) buckets, which hold live edges only.
+    Live degrees sit in a list and picks come from a heap of (degree,
+    index); the edge list is sorted, so index order is edge order, and
+    degrees only fall, so a stale entry carries a larger key than the live
+    one and is skipped when it surfaces.
     """
     if i not in (1, 2):
         raise InputError("i must be 1 or 2")
     if not system.edges:
         raise InputError("linear extraction needs a nonempty system")
     edges = system.edge_list()
-    idx = {e: j for j, e in enumerate(edges)}
-    adj: list[set[int]] = [set() for _ in edges]
-    for j, e in enumerate(edges):
-        for l in range(j + 1, len(edges)):
-            if len(set(e) & set(edges[l])) >= i:
-                adj[j].add(l)
-                adj[l].add(j)
-    alive = set(range(len(edges)))
+    if i == 1:
+        keys = edges
+    else:
+        keys = [((a, b), (a, c), (b, c)) for a, b, c in edges]
+    buckets: dict = {}
+    for j, ks in enumerate(keys):
+        for key in ks:
+            buckets.setdefault(key, set()).add(j)
+
+    def neighbours(j: int) -> set[int]:
+        out = set().union(*(buckets[key] for key in keys[j]))
+        out.discard(j)
+        return out
+
+    degree = [len(neighbours(j)) for j in range(len(edges))]
+    heap = [(d, j) for j, d in enumerate(degree)]
+    heapq.heapify(heap)
     chosen: list[Triple] = []
-    while alive:
-        pick = min(
-            alive, key=lambda j: (len(adj[j] & alive), edges[j])
-        )
+    while heap:
+        d, pick = heapq.heappop(heap)
+        if degree[pick] != d:
+            continue
         chosen.append(edges[pick])
-        dead = {pick} | (adj[pick] & alive)
-        alive -= dead
+        dead = neighbours(pick)
+        dead.add(pick)
+        for j in dead:
+            degree[j] = -1
+            for key in keys[j]:
+                buckets[key].discard(j)
+        touched: set[int] = set()
+        for j in dead:
+            for l in neighbours(j):
+                degree[l] -= 1
+                touched.add(l)
+        for l in touched:
+            heapq.heappush(heap, (degree[l], l))
     return TripleSystem(system.n, chosen)
 
 

@@ -36,6 +36,7 @@ from .fileio import (
     load_triple_system,
     save_structure,
 )
+from .structures import TripleSystem
 from .trees import analyze_tree, enumerate_trees
 
 EXIT_FOUND = 0
@@ -254,7 +255,7 @@ def _cmd_check(args) -> int:
     path = args.certificate
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: a certificate is a JSON object")
@@ -270,21 +271,20 @@ def _cmd_check(args) -> int:
     if data.get("kind") == "rainbow":
         emb = _embedding_from(data, path)
         coloring = load_coloring(args.host)
-        problems = []
-        seen_colors = []
-        for (u, v), w in emb.expansion_map:
-            a, b = emb.core_map[u], emb.core_map[v]
-            if not all(0 <= x < coloring.n for x in (a, b, w)):
-                problems.append("image vertex outside the colored host")
-                break
-            seen_colors.append(coloring.color(a, b, w))
-        used = list(emb.core_map) + [w for _, w in emb.expansion_map]
-        if len(set(used)) != len(used):
-            problems.append("images are not jointly injective")
-        if len(set(seen_colors)) != len(emb.expansion_map):
-            problems.append("colors repeat")
-        if sorted(seen_colors) != sorted(data.get("colors", [])):
-            problems.append("recorded colors do not match the coloring")
+        colors = data.get("colors", [])
+        if not (isinstance(colors, list) and all(type(c) is int for c in colors)):
+            raise InputError(f"{path}: colors must be a list of integers")
+        # the colored triples are every triple of [n]: the complete host
+        problems = emb.violations(TripleSystem(coloring.n, coloring.color_of))
+        if not problems:
+            seen_colors = [
+                coloring.color(emb.core_map[u], emb.core_map[v], w)
+                for (u, v), w in emb.expansion_map
+            ]
+            if len(set(seen_colors)) != len(seen_colors):
+                problems.append("colors repeat")
+            if sorted(seen_colors) != sorted(colors):
+                problems.append("recorded colors do not match the coloring")
         if problems:
             _emit({"valid": False, "problems": problems}, None)
             return EXIT_NEGATIVE

@@ -3,14 +3,17 @@
 Edge-list text format: a header line `kind=graph|3graph n=<N>`, then one
 edge per line as space-separated vertex ids.  JSON mirror:
 {"kind": "3graph", "n": 12, "edges": [[0, 1, 2], ...]}.  Both parsers
-reject out-of-range ids, duplicate edges, and loops.  Coloring files list
-`u v w c` for every triple of [n].
+reject out-of-range ids, duplicate edges, and loops; the JSON parser also
+rejects a document that is not an object, a count or id that is not an
+integer (booleans included), and edges that are not lists.  Coloring files
+list `u v w c` for every triple of [n].
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 from .builders import Coloring
@@ -71,29 +74,39 @@ def dumps_edge_text(obj: Graph | TripleSystem) -> str:
     return "\n".join([head] + body) + "\n"
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def loads_edge_json(text: str, path: str = "<json>") -> Graph | TripleSystem:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, nesting
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object")
     for key in ("kind", "n", "edges"):
         if key not in data:
             raise InputError(f"{path}: missing key {key!r}")
-    kind, n = data["kind"], data["n"]
+    kind, n, edges = data["kind"], data["n"], data["edges"]
     if kind not in ("graph", "3graph"):
         raise InputError(f"{path}: unknown kind {kind!r}")
+    if not _is_int(n):
+        raise InputError(f"{path}: vertex count must be an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise InputError(f"{path}: edges must be a list")
     arity = 2 if kind == "graph" else 3
     seen = set()
-    for e in data["edges"]:
+    for e in edges:
+        if not (isinstance(e, list) and all(_is_int(x) for x in e)):
+            raise InputError(f"{path}: an edge is a list of integer ids, got {e!r}")
         if len(e) != arity or len(set(e)) != arity:
             raise InputError(f"{path}: bad edge {e}")
         key = tuple(sorted(e))
         if key in seen:
             raise InputError(f"{path}: duplicate edge {e}")
         seen.add(key)
-    return (
-        Graph(n, data["edges"]) if kind == "graph" else TripleSystem(n, data["edges"])
-    )
+    return Graph(n, edges) if kind == "graph" else TripleSystem(n, edges)
 
 
 def dumps_edge_json(obj: Graph | TripleSystem) -> str:
@@ -104,8 +117,15 @@ def dumps_edge_json(obj: Graph | TripleSystem) -> str:
     )
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file: {exc}") from None
+
+
 def load_structure(path: str | Path) -> Graph | TripleSystem:
-    text = Path(path).read_text()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return loads_edge_json(text, str(path))
     return loads_edge_text(text, str(path))
@@ -143,6 +163,8 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
         n = int(lines[0][2:])
     except ValueError:
         raise InputError(f"{path}: bad n") from None
+    if n < 0:
+        raise InputError(f"{path}: n must be nonnegative")
     color_of = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -153,14 +175,19 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-integer field") from None
         t = sorted_triple(u, v, w)
+        if len(set(t)) != 3 or not all(0 <= x < n for x in t):
+            raise InputError(f"{path}:{lineno}: bad triple {t} for n={n}")
         if t in color_of:
             raise InputError(f"{path}:{lineno}: duplicate triple {t}")
         color_of[t] = c
-    missing = [
-        t for t in itertools.combinations(range(n), 3) if t not in color_of
-    ]
+    # every listed triple is a distinct triple of [n], so the first missing
+    # one turns up within len(color_of) + 1 steps whatever n is
+    missing = math.comb(n, 3) - len(color_of)
     if missing:
-        raise InputError(f"{path}: {len(missing)} triples missing (first {missing[0]})")
+        first = next(
+            t for t in itertools.combinations(range(n), 3) if t not in color_of
+        )
+        raise InputError(f"{path}: {missing} triples missing (first {first})")
     return Coloring(n, color_of)
 
 
@@ -172,4 +199,4 @@ def dumps_coloring(coloring: Coloring) -> str:
 
 
 def load_coloring(path: str | Path) -> Coloring:
-    return loads_coloring(Path(path).read_text(), str(path))
+    return loads_coloring(_read_text(path), str(path))

@@ -701,33 +701,33 @@ def enumerate_two_intersecting_systems(max_vertices: int):
     """Every set system of sorted triples on [max_vertices] whose edges
     pairwise share exactly two vertices (including the empty one)."""
     triples = list(itertools.combinations(range(max_vertices), 3))
-
-    def extend(chosen: list, start: int):
-        yield list(chosen)
-        for i in range(start, len(triples)):
-            t = triples[i]
-            if all(len(set(t) & set(c)) == 2 for c in chosen):
-                chosen.append(t)
-                yield from extend(chosen, i + 1)
-                chosen.pop()
-
-    yield from extend([], 0)
+    yield from _compatible_families(triples, _share_two, [], 0)
 
 
 def enumerate_intersecting_edge_families(max_vertices: int):
     """Every edge set on [max_vertices] with no two disjoint edges."""
     pairs = list(itertools.combinations(range(max_vertices), 2))
+    yield from _compatible_families(pairs, _meet, [], 0)
 
-    def extend(chosen: list, start: int):
-        yield list(chosen)
-        for i in range(start, len(pairs)):
-            p = pairs[i]
-            if all(set(p) & set(c) for c in chosen):
-                chosen.append(p)
-                yield from extend(chosen, i + 1)
-                chosen.pop()
 
-    yield from extend([], 0)
+def _share_two(a: tuple, b: tuple) -> bool:
+    return len(set(a) & set(b)) == 2
+
+
+def _meet(a: tuple, b: tuple) -> bool:
+    return bool(set(a) & set(b))
+
+
+def _compatible_families(items: list, compatible, chosen: list, start: int):
+    """`chosen` and each of its extensions by items from index `start` on
+    that stay pairwise compatible, in depth-first order."""
+    yield list(chosen)
+    for i in range(start, len(items)):
+        x = items[i]
+        if all(compatible(x, c) for c in chosen):
+            chosen.append(x)
+            yield from _compatible_families(items, compatible, chosen, i + 1)
+            chosen.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -77,24 +77,35 @@ def _opt_cyclic_component(
     for u, w in _component_edges(graph, comp):
         first, second = sorted((u, w), key=pos.__getitem__)
         newly[pos[second]].append(first)
-    best = _INF
+    return _cyclic_walk(graph, comp, newly, forced_in, forced_out, 0, 0, 0, 0, _INF)
 
-    def walk(idx: int, chosen_mask: int, size: int, uncovered: int) -> None:
-        nonlocal best
-        partial = size + uncovered
-        if partial > best[0]:
-            return
-        if idx == len(comp):
-            best = min(best, (partial, -size))
-            return
-        v = comp[idx]
-        if v not in forced_in:
-            miss = sum(1 for u in newly[idx] if not (chosen_mask >> u) & 1)
-            walk(idx + 1, chosen_mask, size, uncovered + miss)
-        if v not in forced_out and not graph.adj[v] & chosen_mask:
-            walk(idx + 1, chosen_mask | (1 << v), size + 1, uncovered)
 
-    walk(0, 0, 0, 0)
+def _cyclic_walk(
+    graph: Graph,
+    comp: list[int],
+    newly: list[list[int]],
+    forced_in: set[int],
+    forced_out: set[int],
+    idx: int,
+    chosen_mask: int,
+    size: int,
+    uncovered: int,
+    best: tuple[int, int],
+) -> tuple[int, int]:
+    """Best (cost, -size) below one node of the cyclic-component search,
+    given the best found so far."""
+    partial = size + uncovered
+    if partial > best[0]:
+        return best
+    if idx == len(comp):
+        return min(best, (partial, -size))
+    v = comp[idx]
+    rest = (graph, comp, newly, forced_in, forced_out, idx + 1)
+    if v not in forced_in:
+        miss = sum(1 for u in newly[idx] if not (chosen_mask >> u) & 1)
+        best = _cyclic_walk(*rest, chosen_mask, size, uncovered + miss, best)
+    if v not in forced_out and not graph.adj[v] & chosen_mask:
+        best = _cyclic_walk(*rest, chosen_mask | (1 << v), size + 1, uncovered, best)
     return best
 
 
@@ -183,30 +194,44 @@ def all_crosscut_pairs(
     for u, v in graph.edges:
         later_edges[max(u, v)].append(min(u, v))
     found: list[tuple[int, ...]] = []
-    overflow = False
-
-    def walk(v: int, chosen_mask: int, chosen: list[int], size: int, uncovered: int):
-        nonlocal overflow
-        if overflow or size + uncovered > sigma:
-            return
-        if v == graph.n:
-            if size + uncovered == sigma:
-                if len(found) >= cap:
-                    overflow = True
-                else:
-                    found.append(tuple(chosen))
-            return
-        miss = sum(1 for u in later_edges[v] if not (chosen_mask >> u) & 1)
-        walk(v + 1, chosen_mask, chosen, size, uncovered + miss)
-        if not graph.adj[v] & chosen_mask:
-            chosen.append(v)
-            walk(v + 1, chosen_mask | (1 << v), chosen, size + 1, uncovered)
-            chosen.pop()
-
-    walk(0, 0, [], 0, 0)
+    overflow = _pairs_walk(graph, later_edges, sigma, cap, found, 0, 0, [], 0, 0)
     pairs = [CrosscutPair(i, _leftover_edges(graph, i)) for i in found]
     pairs.sort(key=lambda p: (-len(p.independent), p.independent))
     return pairs, overflow
+
+
+def _pairs_walk(
+    graph: Graph,
+    later_edges: list[list[int]],
+    sigma: int,
+    cap: int,
+    found: list[tuple[int, ...]],
+    v: int,
+    chosen_mask: int,
+    chosen: list[int],
+    size: int,
+    uncovered: int,
+) -> bool:
+    """Append the optimal independent sets below one node to `found`, in
+    depth-first order; True once more than `cap` were met (the walk stops)."""
+    if size + uncovered > sigma:
+        return False
+    if v == graph.n:
+        if size + uncovered == sigma:
+            if len(found) >= cap:
+                return True
+            found.append(tuple(chosen))
+        return False
+    rest = (graph, later_edges, sigma, cap, found, v + 1)
+    miss = sum(1 for u in later_edges[v] if not (chosen_mask >> u) & 1)
+    if _pairs_walk(*rest, chosen_mask, chosen, size, uncovered + miss):
+        return True
+    if graph.adj[v] & chosen_mask:
+        return False
+    chosen.append(v)
+    overflow = _pairs_walk(*rest, chosen_mask | (1 << v), chosen, size + 1, uncovered)
+    chosen.pop()
+    return overflow
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +240,31 @@ def all_crosscut_pairs(
 
 def covering_number(graph: Graph) -> int:
     """Exact minimum vertex cover size (branch on a maximum-degree vertex)."""
+    return _cover(graph.adj, (1 << graph.n) - 1)
 
-    def solve(alive: int) -> int:
-        best_v, best_d = -1, 0
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (graph.adj[v] & alive).bit_count()
-            if d > best_d:
-                best_d, best_v = d, v
-        if best_d == 0:
-            return 0
-        if best_d == 1:
-            deg1 = sum(
-                1
-                for v in _mask_vertices(alive)
-                if (graph.adj[v] & alive).bit_count() == 1
-            )
-            return deg1 // 2
-        v = best_v
-        with_v = 1 + solve(alive & ~(1 << v))
-        nbrs = graph.adj[v] & alive
-        without_v = nbrs.bit_count() + solve(alive & ~nbrs & ~(1 << v))
-        return min(with_v, without_v)
 
-    return solve((1 << graph.n) - 1)
+def _cover(adj: tuple[int, ...], alive: int) -> int:
+    """Minimum vertex cover of the subgraph induced by the `alive` mask."""
+    best_v, best_d = -1, 0
+    m = alive
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        d = (adj[v] & alive).bit_count()
+        if d > best_d:
+            best_d, best_v = d, v
+    if best_d == 0:
+        return 0
+    if best_d == 1:
+        deg1 = sum(
+            1 for v in _mask_vertices(alive) if (adj[v] & alive).bit_count() == 1
+        )
+        return deg1 // 2
+    v = best_v
+    with_v = 1 + _cover(adj, alive & ~(1 << v))
+    nbrs = adj[v] & alive
+    without_v = nbrs.bit_count() + _cover(adj, alive & ~nbrs & ~(1 << v))
+    return min(with_v, without_v)
 
 
 def independent_covering_number(graph: Graph) -> int | None:
@@ -480,17 +504,19 @@ def tree_canonical(graph: Graph) -> tuple[str, Graph]:
     centers = _centers(n, adj)
     root = min(centers, key=lambda c: _rooted_code_sub(adj, c, -1))
     label: dict[int, int] = {}
-
-    def assign(v: int, parent: int) -> str:
-        label[v] = len(label)
-        kids = sorted(
-            ((_rooted_code_sub(adj, w, v), w) for w in adj[v] if w != parent),
-        )
-        return "(" + "".join(assign(w, v) for _, w in kids) + ")"
-
-    code = assign(root, -1)
+    code = _assign_labels(adj, root, -1, label)
     relabeled = Graph(n, [(label[u], label[v]) for u, v in graph.edges])
     return code, relabeled
+
+
+def _assign_labels(
+    adj: list[list[int]], v: int, parent: int, label: dict[int, int]
+) -> str:
+    """Label the subtree at v in preorder, children in sorted-code order;
+    returns its rooted code."""
+    label[v] = len(label)
+    kids = sorted((_rooted_code_sub(adj, w, v), w) for w in adj[v] if w != parent)
+    return "(" + "".join(_assign_labels(adj, w, v, label) for _, w in kids) + ")"
 
 
 def _rooted_code_sub(adj: list[list[int]], v: int, parent: int) -> str:

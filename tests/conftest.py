@@ -24,6 +24,16 @@ def random_graph(rng: random.Random, n: int, density: float) -> Graph:
     return Graph(n, edges)
 
 
+def planted_host(rng: random.Random, n: int, t: int) -> TripleSystem:
+    """S(n, t) with 30% of its triples dropped, plus random triples
+    amounting to 3% of all triples of [n]."""
+    apex = [x for x in itertools.combinations(range(n), 3) if x[0] < t]
+    kept = rng.sample(apex, len(apex) - round(0.3 * len(apex)))
+    others = [x for x in itertools.combinations(range(n), 3) if x[0] >= t]
+    total = n * (n - 1) * (n - 2) // 6
+    return TripleSystem(n, kept + rng.sample(others, round(0.03 * total)))
+
+
 @pytest.fixture(scope="session")
 def cleaning_corpus():
     """200 seeded random systems paired round-robin with (k, t) settings."""

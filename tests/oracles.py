@@ -252,3 +252,82 @@ def rainbow_naive(coloring, pattern: Graph) -> bool:
             if len(colors) == m:
                 return True
     return False
+
+
+def _classify_pair_naive(pair, nbrs, t, k):
+    """Removable type (1 deficient, 2 coupled, 3 intermediate) or None."""
+    d = len(nbrs[pair])
+    if d <= t - 1:
+        return 1
+    if d == t:
+        u, v = pair
+        for w in nbrs[pair]:
+            for other in (tuple(sorted((u, w))), tuple(sorted((v, w)))):
+                if other != pair and len(nbrs.get(other, ())) == t:
+                    return 2
+        return None
+    if t + 1 <= d <= 3 * k - 1:
+        return 3
+    return None
+
+
+def cleaning_naive(system: TripleSystem, k: int, t: int):
+    """The removal process with every shadow pair classified again after
+    each removal: (sparse part, [(pair, type), ...], final edges)."""
+    sparse = set()
+    for e in system.edges:
+        a, b, c = e
+        dmax = max(
+            system.codegree(a, b), system.codegree(a, c), system.codegree(b, c)
+        )
+        if dmax <= 3 * k:
+            sparse.add(e)
+    edges = set(system.edges) - sparse
+    nbrs = {}
+    for a, b, c in edges:
+        nbrs.setdefault((a, b), set()).add(c)
+        nbrs.setdefault((a, c), set()).add(b)
+        nbrs.setdefault((b, c), set()).add(a)
+
+    removed = []
+    while True:
+        best = None
+        for pair in nbrs:
+            tag = _classify_pair_naive(pair, nbrs, t, k)
+            if tag is not None and (best is None or (tag, pair) < best):
+                best = (tag, pair)
+        if best is None:
+            break
+        tag, pair = best
+        removed.append((pair, tag))
+        doomed = [tuple(sorted((pair[0], pair[1], w))) for w in nbrs[pair]]
+        for e in doomed:
+            a, b, c = e
+            edges.discard(e)
+            for p, w in (((a, b), c), ((a, c), b), ((b, c), a)):
+                bucket = nbrs.get(p)
+                if bucket is not None:
+                    bucket.discard(w)
+                    if not bucket:
+                        del nbrs[p]
+    return sparse, removed, edges
+
+
+def linear_subgraph_naive(system: TripleSystem, i: int) -> list:
+    """Greedy minimum-degree independent set in the explicit O(m^2)
+    conflict graph (edges sharing >= i vertices), least edge first on ties;
+    the chosen edges in pick order."""
+    edges = system.edge_list()
+    adj = [set() for _ in edges]
+    for j, e in enumerate(edges):
+        for l in range(j + 1, len(edges)):
+            if len(set(e) & set(edges[l])) >= i:
+                adj[j].add(l)
+                adj[l].add(j)
+    alive = set(range(len(edges)))
+    chosen = []
+    while alive:
+        pick = min(alive, key=lambda j: (len(adj[j] & alive), edges[j]))
+        chosen.append(edges[pick])
+        alive -= {pick} | (adj[pick] & alive)
+    return chosen

@@ -1,7 +1,9 @@
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscut.builders import s_construction
 from crosscut.cleaning import (
@@ -17,6 +19,9 @@ from crosscut.cleaning import (
 )
 from crosscut.errors import InputError
 from crosscut.structures import TripleSystem, is_d_full
+
+from conftest import planted_host, random_triple_system
+from oracles import cleaning_naive, linear_subgraph_naive
 
 
 def complete_3graph(n):
@@ -193,3 +198,66 @@ class TestFullnessCheck:
             fullness_embedding_check(TripleSystem(5, []), 3)
         with pytest.raises(InputError):
             fullness_embedding_check(TripleSystem(5, [(0, 1, 2)]), 3)
+
+
+def _assert_matches_naive(system, k, t):
+    trace = cleaning_algorithm(system, k, t)
+    sparse, removed, final = cleaning_naive(system, k, t)
+    assert trace.sparse_part.edges == sparse
+    assert list(trace.removed_pairs) == removed
+    assert trace.final_system.edges == final
+
+
+def _assert_linear_matches_naive(system):
+    for i in (1, 2):
+        out = extract_linear_subgraph(system, i)
+        assert out.edges == set(linear_subgraph_naive(system, i))
+
+
+class TestAgainstNaive:
+    """The heap-driven loops pick exactly what the full rescans pick."""
+
+    def test_cleaning_on_corpus(self, cleaning_corpus):
+        for system, _, _ in cleaning_corpus:
+            for k, t in itertools.product((3, 4), (1, 2)):
+                _assert_matches_naive(system, k, t)
+
+    def test_linear_on_corpus(self, cleaning_corpus):
+        for system, _, _ in cleaning_corpus:
+            if system.edges:
+                _assert_linear_matches_naive(system)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 14),
+        density=st.floats(0.02, 0.7),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        t=st.integers(0, 3),
+    )
+    def test_random_systems(self, n, density, seed, k, t):
+        system = random_triple_system(random.Random(seed), n, density)
+        _assert_matches_naive(system, k, min(t, k))
+        if system.edges:
+            _assert_linear_matches_naive(system)
+
+    def test_planted_hosts_are_pinned(self):
+        # (n, edges, q, removed pairs listed, sparse, final, linear i=2, i=1)
+        expected = [
+            (28, 571, 146, 146, 98, 313, 77, 9),
+            (32, 779, 193, 193, 149, 437, 94, 10),
+            (36, 1023, 233, 233, 214, 576, 127, 12),
+        ]
+        rng = random.Random(1)
+        for n, *values in expected:
+            host = planted_host(rng, n, 2)
+            trace = cleaning_algorithm(host, 3, 2)
+            assert [
+                len(host.edges),
+                trace.q,
+                len(trace.to_json()["removed_pairs"]),
+                len(trace.sparse_part.edges),
+                len(trace.final_system.edges),
+                len(extract_linear_subgraph(host, 2).edges),
+                len(extract_linear_subgraph(host, 1).edges),
+            ] == values

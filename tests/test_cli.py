@@ -212,6 +212,43 @@ def test_check_malformed_certificate(files, capsys, text, code):
         assert json.loads(capsys.readouterr().out)["valid"] is False
 
 
+def test_extract_mistyped_json_host_exits_5(files):
+    host = files / "x.edges"
+    host.write_text('{"kind":"3graph","n":5,"edges":[[0,1,"2"]]}')
+    out = files / "out.edges"
+    code = main(["extract", "--mode", "linear", "--param", "2", "--in", str(host), "--out", str(out)])
+    assert code == 5
+
+
+# a rainbow cherry under the lower-bound coloring of S(8, 1) (files["chi.txt"])
+CHERRY_RAINBOW = (
+    '{"kind": "rainbow", "embedding": {"host_kind": "3graph", '
+    '"pattern": {"n": 3, "edges": [[0, 1], [1, 2]]}, "core_map": [1, 0, 2], '
+    '"expansion_map": [{"edge": [0, 1], "vertex": 3}, {"edge": [1, 2], "vertex": 4}]}, '
+    '"colors": [1, 7]}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (CHERRY_RAINBOW, 0),
+        (CHERRY_RAINBOW.replace("[1, 7]", "null"), 5),
+        (CHERRY_RAINBOW.replace("[1, 7]", '[1, "7"]'), 5),
+        (CHERRY_RAINBOW.replace('"3graph"', '"graph"'), 5),
+        (CHERRY_RAINBOW.replace("[1, 7]", "[1, 8]"), 3),
+        (CHERRY_RAINBOW.replace("[1, 0, 2]", "[1, 0, 1]"), 3),
+        (CHERRY_RAINBOW.replace('"vertex": 4', '"vertex": 9'), 3),
+        (CHERRY_RAINBOW.replace('"edge": [1, 2]', '"edge": [1, 5]'), 3),
+    ],
+)
+def test_check_malformed_rainbow_certificate(files, text, code):
+    cert = files / "bad_rainbow.json"
+    cert.write_text(text)
+    host = files / "chi.txt"
+    assert main(["check", "--certificate", str(cert), "--host", str(host)]) == code
+
+
 def test_turan_lower_only_is_cached_apart(files, capsys, tmp_path):
     args = [
         "--cache-dir",

@@ -28,8 +28,20 @@ from crosscut.embed import (
     vary_cycle_length,
 )
 from crosscut.errors import HypothesisError, InputError
+from crosscut.lab import (
+    enumerate_intersecting_edge_families,
+    enumerate_two_intersecting_systems,
+    exact_generalized_turan,
+)
 from crosscut.structures import Graph, TripleSystem
-from crosscut.trees import complete_graph, cycle_graph, path_graph, star_graph
+from crosscut.trees import (
+    analyze_tree,
+    complete_graph,
+    cycle_graph,
+    enumerate_trees,
+    path_graph,
+    star_graph,
+)
 
 from conftest import random_graph, random_triple_system
 from oracles import (
@@ -227,8 +239,9 @@ class TestCompletionMatcher:
 
 
 class TestNoCyclicGarbage:
-    """The searches are written without self-referential closures, so a
-    call leaves nothing for the cycle collector."""
+    """The searches, tree invariants and enumerators are written without
+    self-referential closures, so a call leaves nothing for the cycle
+    collector."""
 
     @pytest.mark.parametrize(
         "search",
@@ -239,8 +252,23 @@ class TestNoCyclicGarbage:
             lambda: complete_partial_expansion(s_construction(9, 2), [(0, 2), (2, 3)]),
             lambda: find_rainbow_expansion(lower_bound_coloring(s_construction(7, 1)), path_graph(2)),
             lambda: find_rainbow_expansion(constant_coloring(7), path_graph(2)),
+            lambda: [analyze_tree(t) for t in enumerate_trees(6)],
+            lambda: exact_generalized_turan(6, cycle_graph(3)),
+            lambda: list(enumerate_two_intersecting_systems(5)),
+            lambda: list(enumerate_intersecting_edge_families(5)),
         ],
-        ids=["expansion-found", "expansion-none", "blowup", "partial", "rainbow-found", "rainbow-none"],
+        ids=[
+            "expansion-found",
+            "expansion-none",
+            "blowup",
+            "partial",
+            "rainbow-found",
+            "rainbow-none",
+            "analyze-tree",
+            "generalized-turan",
+            "two-intersecting",
+            "intersecting-families",
+        ],
     )
     def test_search_leaves_no_cycles(self, search):
         gc.collect()

@@ -58,6 +58,34 @@ class TestEdgeJson:
         with pytest.raises(InputError):
             loads_edge_json('{"kind":"graph","n":3}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind":"3graph","n":5,"edges":[[0,1,"2"]]}',
+            '{"kind":"3graph","n":"5","edges":[[0,1,2]]}',
+            '{"kind":"3graph","n":5,"edges":5}',
+            '{"kind":"3graph","n":5,"edges":[[0,1,2.0]]}',
+            '{"kind":"3graph","n":true,"edges":[]}',
+            '{"kind":"graph","n":3,"edges":[[false,true]]}',
+            '{"kind":"graph","n":3,"edges":["01"]}',
+            '{"kind":"graph","n":3,"edges":[{"0":1}]}',
+            '{"kind":"graph","n":3.0,"edges":[]}',
+            '[["kind","graph"]]',
+            '"kind"',
+            '{"kind":"graph","n":1' + "0" * 5000 + ',"edges":[]}',
+            "[" * 100_000,
+        ],
+    )
+    def test_rejects_mistyped_documents(self, text):
+        with pytest.raises(InputError):
+            loads_edge_json(text)
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path):
+        p = tmp_path / "bin.edges"
+        p.write_bytes(b"kind=graph n=3\n\xff\xfe\n")
+        with pytest.raises(InputError):
+            load_structure(p)
+
     def test_load_structure_sniffs_format(self, tmp_path):
         p1 = tmp_path / "a.edges"
         p1.write_text(dumps_edge_text(path_graph(2)))
