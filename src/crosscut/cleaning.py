@@ -26,6 +26,7 @@ from .structures import (
     Pair,
     Triple,
     TripleSystem,
+    _is_int,
     is_superfull,
     sorted_pair,
 )
@@ -112,6 +113,32 @@ def _classify_pair(
     return None
 
 
+def _pair_buckets(edges) -> dict[Pair, set[int]]:
+    """Each shadow pair of `edges` mapped to the set of its third vertices."""
+    nbrs: dict[Pair, set[int]] = {}
+    for a, b, c in edges:
+        nbrs.setdefault((a, b), set()).add(c)
+        nbrs.setdefault((a, c), set()).add(b)
+        nbrs.setdefault((b, c), set()).add(a)
+    return nbrs
+
+
+def _remove_pair(pair: Pair, nbrs: dict[Pair, set[int]], edges: set[Triple]) -> set[Pair]:
+    """Delete every edge through `pair` from `edges` and from the buckets,
+    dropping buckets that empty; returns the pairs whose buckets changed."""
+    touched: set[Pair] = set()
+    for w in list(nbrs[pair]):
+        a, b, c = sorted((pair[0], pair[1], w))
+        edges.discard((a, b, c))
+        for p, x in (((a, b), c), ((a, c), b), ((b, c), a)):
+            bucket = nbrs[p]
+            bucket.discard(x)
+            if not bucket:
+                del nbrs[p]
+            touched.add(p)
+    return touched
+
+
 def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
     """Run the removal process on `system` with parameters `k` (pairs of
     codegree up to 3k-1 count as intermediate, and edges whose pairs all
@@ -128,7 +155,7 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
     first popped entry that still matches is the least (type, pair) a full
     rescan would find.
     """
-    if not (isinstance(k, int) and isinstance(t, int) and k >= t >= 0):
+    if not (_is_int(k) and _is_int(t) and k >= t >= 0):
         raise InputError(f"need integers k >= t >= 0, got k={k}, t={t}")
     pair_nbr = system.pair_nbr
     sparse = set()
@@ -142,11 +169,7 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
         if dmax <= 3 * k:
             sparse.add(e)
     edges = set(system.edges) - sparse
-    nbrs: dict[Pair, set[int]] = {}
-    for a, b, c in edges:
-        nbrs.setdefault((a, b), set()).add(c)
-        nbrs.setdefault((a, c), set()).add(b)
-        nbrs.setdefault((b, c), set()).add(a)
+    nbrs = _pair_buckets(edges)
 
     tag: dict[Pair, int] = {}
     heap: list[tuple[int, Pair]] = []
@@ -166,16 +189,7 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
             break
         kind, pair = heapq.heappop(heap)
         removed.append((pair, kind))
-        touched: set[Pair] = set()
-        for w in list(nbrs[pair]):
-            a, b, c = sorted((pair[0], pair[1], w))
-            edges.discard((a, b, c))
-            for p, x in (((a, b), c), ((a, c), b), ((b, c), a)):
-                bucket = nbrs[p]
-                bucket.discard(x)
-                if not bucket:
-                    del nbrs[p]
-                touched.add(p)
+        touched = _remove_pair(pair, nbrs, edges)
         dirty = set(touched)
         for u, v in touched:
             for w in nbrs.get((u, v), ()):
@@ -229,33 +243,16 @@ def extract_d_full(system: TripleSystem, d: int) -> TripleSystem:
     """
     if d < 0:
         raise InputError("d must be nonnegative")
-    nbrs: dict[Pair, set[int]] = {}
     edges = set(system.edges)
-    for a, b, c in edges:
-        nbrs.setdefault((a, b), set()).add(c)
-        nbrs.setdefault((a, c), set()).add(b)
-        nbrs.setdefault((b, c), set()).add(a)
+    nbrs = _pair_buckets(edges)
     queue = [p for p, ws in nbrs.items() if len(ws) <= d]
     while queue:
         pair = queue.pop()
-        ws = nbrs.get(pair)
-        if ws is None:
+        if pair not in nbrs:  # queued twice, or emptied since
             continue
-        for w in list(ws):
-            e = tuple(sorted((pair[0], pair[1], w)))
-            if e not in edges:
-                continue
-            edges.discard(e)
-            a, b, c = e
-            for p, x in (((a, b), c), ((a, c), b), ((b, c), a)):
-                bucket = nbrs.get(p)
-                if bucket is None:
-                    continue
-                bucket.discard(x)
-                if not bucket:
-                    del nbrs[p]
-                elif len(bucket) <= d:
-                    queue.append(p)
+        for p in _remove_pair(pair, nbrs, edges):
+            if p in nbrs and len(nbrs[p]) <= d:
+                queue.append(p)
     return TripleSystem(system.n, edges)
 
 

@@ -36,7 +36,7 @@ from .fileio import (
     load_triple_system,
     save_structure,
 )
-from .structures import TripleSystem
+from .structures import TripleSystem, _is_int
 from .trees import analyze_tree, enumerate_trees
 
 EXIT_FOUND = 0
@@ -74,8 +74,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.cache_dir = Path(args.cache_dir)
     elif os.environ.get("CROSSCUT_CACHE_DIR"):
         cfg.cache_dir = Path(os.environ["CROSSCUT_CACHE_DIR"])
-    if args.non_deterministic:
-        cfg.deterministic = False
     if args.output_format:
         cfg.output_format = args.output_format
     return cfg
@@ -100,6 +98,13 @@ def _cmd_tree(args) -> int:
 
 def _cmd_construct(args) -> int:
     kind = args.kind
+    if kind in ("expansion", "blowup", "kg"):
+        needs = {"--in": args.infile}
+    else:
+        needs = {"--n": args.n, "--t": args.t}
+    missing = [option for option, value in needs.items() if value is None]
+    if missing:
+        raise UsageError(f"construct {kind} needs {' and '.join(missing)}")
     if kind == "s":
         obj = s_construction(args.n, args.t)
     elif kind == "sbi":
@@ -131,10 +136,10 @@ def _cmd_contains(args) -> int:
     budget = cfg.budget()
     if args.pattern_kind == "expansion":
         host = load_triple_system(args.host)
-        emb = find_expansion(host, pattern, cfg.deterministic, budget)
+        emb = find_expansion(host, pattern, budget=budget)
     elif args.pattern_kind == "blowup":
         host = load_graph(args.host)
-        emb = find_blowup(host, pattern, cfg.deterministic, budget)
+        emb = find_blowup(host, pattern, budget=budget)
     else:
         raise UsageError("pattern-kind must be expansion or blowup")
     if emb is None:
@@ -272,7 +277,7 @@ def _cmd_check(args) -> int:
         emb = _embedding_from(data, path)
         coloring = load_coloring(args.host)
         colors = data.get("colors", [])
-        if not (isinstance(colors, list) and all(type(c) is int for c in colors)):
+        if not (isinstance(colors, list) and all(_is_int(c) for c in colors)):
             raise InputError(f"{path}: colors must be a list of integers")
         # the colored triples are every triple of [n]: the complete host
         problems = emb.violations(TripleSystem(coloring.n, coloring.color_of))
@@ -309,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--max-nodes", type=int, dest="max_nodes")
     parser.add_argument("--cache-dir", dest="cache_dir")
-    parser.add_argument(
-        "--non-deterministic",
-        action="store_true",
-        help="allow any witness instead of the canonical one",
-    )
     parser.add_argument(
         "--output-format",
         choices=["json", "csv"],

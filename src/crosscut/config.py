@@ -13,14 +13,10 @@ DEFAULT_MAX_NODES = 50_000_000
 
 @dataclass
 class RunConfig:
-    """Knobs shared by the search-heavy operations and the CLI.
-
-    deterministic=True forces canonical certificate selection everywhere.
-    """
+    """Knobs shared by the search-heavy operations and the CLI."""
 
     max_nodes: int | None = DEFAULT_MAX_NODES
     wall_clock_s: float | None = None
-    deterministic: bool = True
     output_format: str = "json"
     cache_dir: Path | None = None
 
@@ -77,7 +73,6 @@ def config_from_mapping(pairs: dict[str, str], base: RunConfig | None = None) ->
     known = {
         "max_nodes": lambda v: None if v.lower() == "none" else int(v),
         "wall_clock_s": lambda v: None if v.lower() == "none" else float(v),
-        "deterministic": lambda v: v.lower() in ("1", "true", "yes"),
         "output_format": str,
         "cache_dir": lambda v: None if v.lower() == "none" else Path(v),
     }

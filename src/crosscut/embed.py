@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from .builders import Coloring, triangle_system
 from .config import SearchBudget
 from .errors import HypothesisError, InputError
-from .structures import Graph, Pair, TripleSystem, sorted_pair
+from .structures import Graph, Pair, TripleSystem, _is_int, _mask_vertices, sorted_pair
 from .trees import crosscut_number, cycle_graph, path_graph
 
 
@@ -120,7 +120,7 @@ class Embedding:
 
 
 def _json_int(value) -> int:
-    if type(value) is not int:
+    if not _is_int(value):
         raise InputError(f"expected an integer, got {value!r}")
     return value
 
@@ -282,7 +282,8 @@ def find_expansion(
     matching is restored on backtrack.  With deterministic=True the
     certificate is canonical: least shadow images in the search order, then
     the lexicographically least completion assignment; otherwise the leaf
-    takes the matching it holds.
+    takes the matching it holds.  Every caller in the package keeps the
+    default; the benchmark's tracing wrapper still passes it positionally.
     """
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
@@ -381,14 +382,12 @@ def find_expansion(
 
 
 def find_blowup(
-    host: Graph,
-    pattern: Graph,
-    deterministic: bool = True,
-    budget: SearchBudget | None = None,
+    host: Graph, pattern: Graph, budget: SearchBudget | None = None
 ) -> Embedding | None:
     """Decide whether the pattern's triangle blowup embeds in the host graph
-    by searching its triangle system; the certificate is translated back."""
-    emb = find_expansion(triangle_system(host), pattern, deterministic, budget)
+    by searching its triangle system; the certificate (canonical, as
+    find_expansion's) is translated back."""
+    emb = find_expansion(triangle_system(host), pattern, budget=budget)
     if emb is None:
         return None
     return replace(emb, host_kind="graph")
@@ -418,6 +417,31 @@ def complete_partial_expansion(
     distinct representatives exists for this shadow copy.
     """
     pairs = [sorted_pair(*p) for p in shadow_copy]
+    completion = _completion(host, pairs, pre_assigned)
+    if completion is None:
+        return None
+    pattern, verts = _pattern_from_pairs(pairs)
+    index = {v: i for i, v in enumerate(verts)}
+    return Embedding(
+        pattern=pattern,
+        core_map=tuple(verts),
+        expansion_map=tuple(
+            sorted(
+                (sorted_pair(index[u], index[v]), completion[(u, v)])
+                for u, v in pairs
+            )
+        ),
+        host_kind="3graph",
+    )
+
+
+def _completion(
+    host: TripleSystem, pairs: list[Pair], pre_assigned: Mapping[Pair, int] | None
+) -> dict[Pair, int] | None:
+    """Completion vertex of each pair of a shadow copy given as sorted host
+    pairs: the pre-assigned vertices, and the lexicographically least
+    distinct fresh vertices for the other pairs (None when there are none).
+    A malformed copy or pre-assignment is an InputError."""
     if len(set(pairs)) != len(pairs) or not pairs:
         raise InputError("shadow copy must be a nonempty list of distinct pairs")
     for p in pairs:
@@ -447,19 +471,7 @@ def complete_partial_expansion(
         return None
     completion = dict(pre)
     completion.update(zip(unassigned, assign))
-    pattern, verts = _pattern_from_pairs(pairs)
-    index = {v: i for i, v in enumerate(verts)}
-    return Embedding(
-        pattern=pattern,
-        core_map=tuple(verts),
-        expansion_map=tuple(
-            sorted(
-                (sorted_pair(index[u], index[v]), completion[(u, v)])
-                for u, v in pairs
-            )
-        ),
-        host_kind="3graph",
-    )
+    return completion
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +529,7 @@ def embed_tree_two_sets(
     recipe = _two_set_recipe(host, tree, pair, s1s, s2s, v1s, v2s, g1, g2)
     if recipe is not None and recipe.validate(host):
         return recipe
-    return find_expansion(host, tree, deterministic=True)
+    return find_expansion(host, tree)
 
 
 def _two_set_recipe(host, tree, pair, s1s, s2s, v1s, v2s, g1, g2):
@@ -588,7 +600,7 @@ def _two_set_recipe(host, tree, pair, s1s, s2s, v1s, v2s, g1, g2):
                     continue
                 done.add(b)
                 opts = g1.adj[images[a]] & free_mask
-                h = next((x for x in _bits(opts) if x not in used), None)
+                h = next((x for x in _mask_vertices(opts) if x not in used), None)
                 if h is None:
                     return None
                 images[b] = h
@@ -615,40 +627,20 @@ def _two_set_recipe(host, tree, pair, s1s, s2s, v1s, v2s, g1, g2):
     for (a, b), s in zip(sorted(r_edges), leftover_apexes):
         pre[sorted_pair(images[a], images[b])] = s
 
-    shadow_pairs = []
-    for a, b in tree.edge_list():
-        p = sorted_pair(images[a], images[b])
-        if host.codegree_mask(*p) == 0:
-            return None
-        shadow_pairs.append(p)
-    if len(set(shadow_pairs)) != len(shadow_pairs):
-        return None
+    edges = tree.edge_list()
+    shadow_pairs = [sorted_pair(images[a], images[b]) for a, b in edges]
     try:
-        completed = complete_partial_expansion(host, shadow_pairs, pre)
-    except InputError:
+        completion = _completion(host, shadow_pairs, pre)
+    except InputError:  # a pair outside the shadow, or a repeated pair
         return None
-    if completed is None:
+    if completion is None:
         return None
-    by_pair = dict(
-        (tuple(sorted((completed.core_map[u], completed.core_map[v]))), w)
-        for (u, v), w in completed.expansion_map
-    )
     return Embedding(
         pattern=tree,
         core_map=tuple(images[v] for v in range(tree.n)),
-        expansion_map=tuple(
-            (e, by_pair[sorted_pair(images[e[0]], images[e[1]])])
-            for e in tree.edge_list()
-        ),
+        expansion_map=tuple((e, completion[p]) for e, p in zip(edges, shadow_pairs)),
         host_kind="3graph",
     )
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
 
 
 # ---------------------------------------------------------------------------
@@ -721,18 +713,11 @@ def vary_cycle_length(
         pre: dict[Pair, int] = {}
         for j in range(k, t):
             pre[sorted_pair(w[j], w[(j + 1) % len(w)])] = x[j]
-        completed = complete_partial_expansion(host, edge_pairs, pre)
-        if completed is None:
+        completion = _completion(host, edge_pairs, pre)
+        if completion is None:
             raise AssertionError(
                 "completion is guaranteed under the witness codegree bound"
             )
-        by_pair = dict(
-            (
-                sorted_pair(completed.core_map[u], completed.core_map[v]),
-                ww,
-            )
-            for (u, v), ww in completed.expansion_map
-        )
         emb = Embedding(
             pattern=pattern,
             core_map=tuple(seq),
@@ -742,7 +727,7 @@ def vary_cycle_length(
                         sorted_pair(i, (i + 1) % ell)
                         if witness.closed
                         else sorted_pair(i, i + 1),
-                        by_pair[edge_pairs[i]],
+                        completion[edge_pairs[i]],
                     )
                     for i in range(ell)
                 )

@@ -6,7 +6,8 @@ edge per line as space-separated vertex ids.  JSON mirror:
 reject out-of-range ids, duplicate edges, and loops; the JSON parser also
 rejects a document that is not an object, a count or id that is not an
 integer (booleans included), and edges that are not lists.  Coloring files
-list `u v w c` for every triple of [n].
+list `u v w c` for every triple of [n].  Every loader rejects a vertex
+count above 10^6 before allocating anything for it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from pathlib import Path
 
 from .builders import Coloring
 from .errors import InputError
-from .structures import Graph, TripleSystem, sorted_triple
+from .structures import Graph, TripleSystem, _is_int, sorted_triple
+
+# graphs and triple systems keep per-vertex tables and the coloring check
+# takes combinations of range(n), so a loaded vertex count is bounded
+_MAX_VERTICES = 10**6
 
 
 def _parse_header(line: str, path: str) -> tuple[str, int]:
@@ -34,7 +39,13 @@ def _parse_header(line: str, path: str) -> tuple[str, int]:
         n = int(fields["n"])
     except ValueError:
         raise InputError(f"{path}: bad vertex count {fields['n']!r}") from None
+    _check_vertex_count(n, path)
     return kind, n
+
+
+def _check_vertex_count(n: int, path: str) -> None:
+    if n > _MAX_VERTICES:
+        raise InputError(f"{path}: vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
 def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
@@ -74,10 +85,6 @@ def dumps_edge_text(obj: Graph | TripleSystem) -> str:
     return "\n".join([head] + body) + "\n"
 
 
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def loads_edge_json(text: str, path: str = "<json>") -> Graph | TripleSystem:
     try:
         data = json.loads(text)
@@ -93,6 +100,7 @@ def loads_edge_json(text: str, path: str = "<json>") -> Graph | TripleSystem:
         raise InputError(f"{path}: unknown kind {kind!r}")
     if not _is_int(n):
         raise InputError(f"{path}: vertex count must be an integer, got {n!r}")
+    _check_vertex_count(n, path)
     if not isinstance(edges, list):
         raise InputError(f"{path}: edges must be a list")
     arity = 2 if kind == "graph" else 3
@@ -165,6 +173,7 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
         raise InputError(f"{path}: bad n") from None
     if n < 0:
         raise InputError(f"{path}: n must be nonnegative")
+    _check_vertex_count(n, path)
     color_of = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()

@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .builders import (
@@ -26,6 +26,7 @@ from .config import DEFAULT_MAX_NODES, SearchBudget
 from .errors import BudgetExceededError, InputError
 from .embed import (
     RainbowCertificate,
+    _pattern_from_pairs,
     find_blowup,
     find_expansion,
     find_rainbow_expansion,
@@ -58,6 +59,7 @@ from .trees import (
 )
 
 WITNESS_CAP = 16
+RAINBOW_CHECK_LIMIT = 8  # largest n whose certificate coloring is searched for rainbow copies
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +232,11 @@ def _exact_turan(
     Lower-bound mode reports the construction value alone.  Exhaustive mode
     (n <= 7, budget-checked; 50M nodes when no budget is given) runs orderly
     generation over the arity-subsets of [n], seeded with the construction
-    value when the construction was verified free.
+    value when the construction was verified free.  A negative n is an
+    InputError in both modes.
     """
+    if n < 0:
+        raise InputError("n must be nonnegative")
     value = construction_value if construction_value is not None else 0
     witness_keys: list[tuple] = []
     nodes = 0
@@ -373,6 +378,9 @@ def exact_generalized_turan(
 # result cache
 
 
+_TURAN_FIELDS = {f.name for f in fields(TuranResult)}
+
+
 def cached_turan(
     mode: str,
     n: int,
@@ -383,7 +391,9 @@ def cached_turan(
 ) -> dict:
     """Content-addressed JSON cache keyed by (mode, n, canonical pattern),
     plus "lower-only" for lower-bound results, so that those never answer
-    an exhaustive request (exhaustive keys are unchanged)."""
+    an exhaustive request (exhaustive keys are unchanged).  A cache file
+    that is not a JSON object with every TuranResult field is recomputed
+    and rewritten."""
     if cache_dir is None:
         return compute().to_json()
     cache_dir = Path(cache_dir)
@@ -394,7 +404,12 @@ def cached_turan(
     digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
     path = cache_dir / f"turan-{digest}.json"
     if path.exists():
-        return json.loads(path.read_text())
+        try:
+            cached = json.loads(path.read_text())
+        except (ValueError, RecursionError):  # corrupted, truncated or not text
+            cached = None
+        if isinstance(cached, dict) and _TURAN_FIELDS <= cached.keys():
+            return cached
     result = compute().to_json()
     path.write_text(json.dumps(result, sort_keys=True) + "\n")
     return result
@@ -424,6 +439,14 @@ class ClosenessReport:
 
 
 def _candidate_sets(n: int, t: int, delta: float, degree_of) -> "itertools.chain":
+    """The t-subsets of [n], highest degree sums first, those inside the
+    t + ceil(1/delta) highest-degree vertices before the rest."""
+    if not 0 < delta < 0.5:
+        raise InputError("delta must lie in (0, 1/2)")
+    if t < 0:
+        raise InputError("t must be nonnegative")
+    if t > n:
+        raise InputError("t exceeds the vertex count")
     ranked = sorted(range(n), key=lambda v: (-degree_of(v), v))
     pool = ranked[: t + math.ceil(1 / delta)]
     first = sorted(
@@ -444,10 +467,6 @@ def hypergraph_closeness(
     """First t-set L (highest degree sums first) whose removal leaves at
     most delta*n^2 edges while every vertex of L has degree at least
     (1/2 - delta)*n^2."""
-    if not 0 < delta < 0.5:
-        raise InputError("delta must lie in (0, 1/2)")
-    if t > system.n:
-        raise InputError("t exceeds the vertex count")
     n = system.n
     for L in _candidate_sets(n, t, delta, system.degree):
         Lset = set(L)
@@ -476,10 +495,6 @@ def graph_closeness(graph: Graph, t: int, delta: float) -> ClosenessReport | Non
     """First t-set passing the four near-extremal conditions: high degree on
     L, few triangles off L, at least n^2/4 - delta*n^2 edges off L, and
     near-bipartite remainder."""
-    if not 0 < delta < 0.5:
-        raise InputError("delta must lie in (0, 1/2)")
-    if t > graph.n:
-        raise InputError("t exceeds the vertex count")
     n = graph.n
     for L in _candidate_sets(n, t, delta, graph.degree):
         rest = graph.without_vertices(L)
@@ -517,14 +532,13 @@ def graph_closeness(graph: Graph, t: int, delta: float) -> ClosenessReport | Non
 # bipartization distance
 
 
-def bipartization_distance(
-    graph: Graph, exact_limit: int = 24, seed: int | None = None
-) -> tuple[int, bool]:
+def bipartization_distance(graph: Graph, exact_limit: int = 24) -> tuple[int, bool]:
     """(edges to delete to make the graph bipartite, exact?).
 
     Exact when the edge-bearing support has at most exact_limit vertices
     (bipartition enumeration in Gray-code order with the first support
-    vertex pinned); otherwise a seeded local-search upper bound, flagged.
+    vertex pinned); otherwise a local-search upper bound from fixed-seed
+    random starts, flagged.
     """
     support = graph.isolated_free_vertices()
     m = len(graph.edges)
@@ -534,7 +548,7 @@ def bipartization_distance(
         return 0, True
     if len(support) <= exact_limit:
         return m - _maxcut_exact(graph, support), True
-    return m - _maxcut_local(graph, support, seed or 0), False
+    return m - _maxcut_local(graph, support), False
 
 
 def _maxcut_exact(graph: Graph, support: list[int]) -> int:
@@ -563,8 +577,8 @@ def _maxcut_exact(graph: Graph, support: list[int]) -> int:
     return best
 
 
-def _maxcut_local(graph: Graph, support: list[int], seed: int) -> int:
-    rng = random.Random(seed)
+def _maxcut_local(graph: Graph, support: list[int]) -> int:
+    rng = random.Random(0)
     best = 0
     for _ in range(8):
         side = 0
@@ -625,12 +639,6 @@ class AntiRamseyResult:
         }
 
 
-def _strip_isolated(graph: Graph) -> Graph:
-    keep = sorted({v for e in graph.edges for v in e})
-    index = {v: i for i, v in enumerate(keep)}
-    return Graph(len(keep), [(index[u], index[v]) for u, v in graph.edges])
-
-
 def is_augmentation_of(candidate: Graph, tree: Graph) -> bool:
     """The candidate is the tree plus one extra edge (possibly through new
     vertices): some single-edge deletion, isolated vertices stripped, is
@@ -638,8 +646,9 @@ def is_augmentation_of(candidate: Graph, tree: Graph) -> bool:
     if len(candidate.edges) != len(tree.edges) + 1:
         return False
     target = tree_canonical(tree)[0]
-    for e in candidate.edge_list():
-        remainder = _strip_isolated(candidate.delete_edge(*e))
+    edges = candidate.edge_list()
+    for e in edges:
+        remainder, _ = _pattern_from_pairs([f for f in edges if f != e])
         if remainder.is_tree() and tree_canonical(remainder)[0] == target:
             return True
     return False
@@ -649,14 +658,13 @@ def anti_ramsey_bounds(
     n: int,
     tree: Graph,
     augmentation: Graph,
-    rainbow_check_limit: int = 8,
 ) -> AntiRamseyResult:
     """Lower-bound certificate and asserted upper formula for the least
     color count forcing a rainbow expansion of the augmented tree.
 
     lower = |base| + 2 for the apex base on sigma(tree)-1 apexes; freeness
     of every single-edge deletion is verified by exact search, and for
-    n <= rainbow_check_limit the certificate coloring is exhaustively
+    n <= RAINBOW_CHECK_LIMIT the certificate coloring is exhaustively
     checked for rainbow copies.  The upper value is the asserted formula
     C(n,3) - C(n-sigma+1,3) + 2, reported, never recomputed.
     """
@@ -675,7 +683,7 @@ def anti_ramsey_bounds(
     coloring = lower_bound_coloring(base) if base.edges else constant_coloring(n)
     cert = None
     rainbow_free = None
-    if n <= rainbow_check_limit:
+    if n <= RAINBOW_CHECK_LIMIT:
         cert = find_rainbow_expansion(coloring, augmentation)
         rainbow_free = cert is None
     return AntiRamseyResult(

@@ -28,6 +28,11 @@ def sorted_triple(a: int, b: int, c: int) -> Triple:
     return (x, y, z)
 
 
+def _is_int(x: object) -> bool:
+    """An int that is not a bool (JSON's true and false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _mask_vertices(mask: int) -> list[int]:
     out = []
     v = 0
@@ -115,12 +120,6 @@ class Graph:
         """Drop the given vertices' incident edges (labels are kept dense)."""
         ds = set(drop)
         return Graph(self.n, [e for e in self.edges if not (e[0] in ds or e[1] in ds)])
-
-    def relabel(self, perm: dict[int, int], n: int | None = None) -> "Graph":
-        return Graph(
-            n if n is not None else self.n,
-            [(perm[u], perm[v]) for u, v in self.edges],
-        )
 
     # -- structure queries --------------------------------------------------
 
@@ -288,14 +287,6 @@ class TripleSystem:
 
     def shadow_pairs(self) -> list[Pair]:
         return sorted(self.pair_nbr.keys())
-
-    # -- derived systems ----------------------------------------------------
-
-    def without_vertices(self, drop: Iterable[int]) -> "TripleSystem":
-        ds = set(drop)
-        return TripleSystem(
-            self.n, [t for t in self.edges if not any(x in ds for x in t)]
-        )
 
 
 @dataclass(frozen=True)

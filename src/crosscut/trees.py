@@ -31,7 +31,7 @@ def _component_edges(graph: Graph, comp: list[int]) -> list[Pair]:
 
 
 def _opt_tree_component(
-    graph: Graph, comp: list[int], forced_in: set[int], forced_out: set[int]
+    graph: Graph, comp: list[int], forced_in: set[int]
 ) -> tuple[int, int]:
     """Best (cost, -size) over independent sets of one tree component."""
     root = comp[0]
@@ -57,8 +57,6 @@ def _opt_tree_component(
             # edge (v, c) is uncovered only when both endpoints stay out
             pick = min(cin, (cout[0] + 1, cout[1]))
             vout = (vout[0] + pick[0], vout[1] + pick[1])
-        if v in forced_out:
-            vin = _INF
         if v in forced_in:
             vout = _INF
         dp_in[v], dp_out[v] = vin, vout
@@ -66,7 +64,7 @@ def _opt_tree_component(
 
 
 def _opt_cyclic_component(
-    graph: Graph, comp: list[int], forced_in: set[int], forced_out: set[int]
+    graph: Graph, comp: list[int], forced_in: set[int]
 ) -> tuple[int, int]:
     """Pruned enumeration for a (small) component that contains a cycle."""
     if len(comp) > 26:
@@ -77,7 +75,7 @@ def _opt_cyclic_component(
     for u, w in _component_edges(graph, comp):
         first, second = sorted((u, w), key=pos.__getitem__)
         newly[pos[second]].append(first)
-    return _cyclic_walk(graph, comp, newly, forced_in, forced_out, 0, 0, 0, 0, _INF)
+    return _cyclic_walk(graph, comp, newly, forced_in, 0, 0, 0, 0, _INF)
 
 
 def _cyclic_walk(
@@ -85,7 +83,6 @@ def _cyclic_walk(
     comp: list[int],
     newly: list[list[int]],
     forced_in: set[int],
-    forced_out: set[int],
     idx: int,
     chosen_mask: int,
     size: int,
@@ -100,18 +97,16 @@ def _cyclic_walk(
     if idx == len(comp):
         return min(best, (partial, -size))
     v = comp[idx]
-    rest = (graph, comp, newly, forced_in, forced_out, idx + 1)
+    rest = (graph, comp, newly, forced_in, idx + 1)
     if v not in forced_in:
         miss = sum(1 for u in newly[idx] if not (chosen_mask >> u) & 1)
         best = _cyclic_walk(*rest, chosen_mask, size, uncovered + miss, best)
-    if v not in forced_out and not graph.adj[v] & chosen_mask:
+    if not graph.adj[v] & chosen_mask:
         best = _cyclic_walk(*rest, chosen_mask | (1 << v), size + 1, uncovered, best)
     return best
 
 
-def _crosscut_opt(
-    graph: Graph, forced_in: set[int] = frozenset(), forced_out: set[int] = frozenset()
-) -> tuple[int, int]:
+def _crosscut_opt(graph: Graph, forced_in: set[int] = frozenset()) -> tuple[int, int]:
     """(min cost, -max |I| among minimum-cost) over independent sets."""
     for v in forced_in:
         if graph.adj[v] & sum(1 << u for u in forced_in if u != v):
@@ -119,13 +114,12 @@ def _crosscut_opt(
     total = (0, 0)
     for comp in graph.components():
         fi = {v for v in forced_in if v in set(comp)}
-        fo = {v for v in forced_out if v in set(comp)}
         cs = set(comp)
         m = sum(1 for e in graph.edges if e[0] in cs)
         if m == len(comp) - 1:
-            part = _opt_tree_component(graph, comp, fi, fo)
+            part = _opt_tree_component(graph, comp, fi)
         else:
-            part = _opt_cyclic_component(graph, comp, fi, fo)
+            part = _opt_cyclic_component(graph, comp, fi)
         if part == _INF:
             return _INF
         total = (total[0] + part[0], total[1] + part[1])
@@ -361,12 +355,12 @@ class TreeProfile:
         }
 
 
-def analyze_tree(tree: Graph, pair_cap: int = PAIR_CAP) -> TreeProfile:
+def analyze_tree(tree: Graph) -> TreeProfile:
     _require_tree(tree)
     sigma, _ = crosscut_number(tree)
     tau = covering_number(tree)
     tau_ind = independent_covering_number(tree)
-    pairs, truncated = all_crosscut_pairs(tree, cap=pair_cap)
+    pairs, truncated = all_crosscut_pairs(tree)
     crit = critical_edges(tree)
     strongly = tau == sigma and tau_ind == sigma and bool(crit)
     return TreeProfile(

@@ -1,9 +1,14 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from crosscut.builders import expansion, lower_bound_coloring, s_construction
-from crosscut.cli import main
+from crosscut.cleaning import cleaning_algorithm
+from crosscut.cli import build_parser, main
+from crosscut.config import RunConfig
 from crosscut.fileio import dumps_coloring, save_structure
 from crosscut.trees import path_graph
 
@@ -103,6 +108,21 @@ def test_construct_writes_files(files):
     assert out.read_text().startswith("kind=3graph n=6")
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["construct", "s", "--n", "12"], "--t"),
+        (["construct", "sbi-plus", "--t", "1"], "--n"),
+        (["construct", "sbi"], "--n and --t"),
+        (["construct", "expansion"], "--in"),
+        (["construct", "kg", "--n", "5", "--t", "1"], "--in"),
+    ],
+)
+def test_construct_missing_option_is_a_usage_error(files, capsys, argv, missing):
+    assert main(argv + ["--out", str(files / "x.edges")]) == 2
+    assert f"needs {missing}" in capsys.readouterr().err
+
+
 def test_rainbow_negative(files):
     code = main(
         [
@@ -186,6 +206,17 @@ P3_EMBEDDING = (
     '{"edge": [1, 2], "vertex": 5}, {"edge": [2, 3], "vertex": 6}]}}'
 )
 
+# the trace of k = 1, t = 0 on the expansion of path_graph(3), with k and t
+# written as JSON booleans (which Python reads as 1 and 0)
+BOOLEAN_TRACE = json.dumps(
+    {
+        "kind": "cleaning-trace",
+        **cleaning_algorithm(expansion(path_graph(3)), 1, 0).to_json(),
+        "k": True,
+        "t": False,
+    }
+)
+
 
 @pytest.mark.parametrize(
     "text, code",
@@ -201,6 +232,8 @@ P3_EMBEDDING = (
         (P3_EMBEDDING.replace('"vertex": 4', '"vertex": 4.0'), 5),
         (P3_EMBEDDING.replace('[2, 3]]', '[2, 3, 4]]'), 5),
         (P3_EMBEDDING, 0),
+        (BOOLEAN_TRACE, 5),
+        (BOOLEAN_TRACE.replace("true", "1").replace("false", "0"), 0),
     ],
 )
 def test_check_malformed_certificate(files, capsys, text, code):
@@ -293,6 +326,38 @@ def test_turan_cli_and_cache(files, capsys, tmp_path):
     assert list(cache.glob("turan-*.json"))
 
 
+@pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], lambda text: "[]"])
+def test_turan_corrupted_cache_is_recomputed(files, capsys, tmp_path, corrupt):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "turan", "--mode", "hypergraph", "--n", "5",
+            "--pattern", str(files / "p2.edges")]
+    assert main(args) == 0
+    first = json.loads(capsys.readouterr().out)
+    [path] = cache.glob("turan-*.json")
+    good = path.read_text()
+    path.write_text(corrupt(good))
+    assert main(args) == 0
+    second = json.loads(capsys.readouterr().out)
+    first.pop("generated_at")
+    second.pop("generated_at")
+    assert first == second
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closeness", "--kind", "3graph", "--t", "-1", "--delta", "0.1", "--in", "s_10_2.edges"],
+        ["closeness", "--kind", "graph", "--t", "-1", "--delta", "0.1", "--in", "p3.edges"],
+        ["turan", "--mode", "hypergraph", "--n", "-2", "--pattern", "p3.edges"],
+        ["turan", "--mode", "triangles", "--n", "-2", "--pattern", "p3.edges", "--lower-only"],
+    ],
+)
+def test_negative_sizes_exit_5(files, argv):
+    argv = [str(files / a) if a.endswith(".edges") else a for a in argv]
+    assert main(argv) == 5
+
+
 def test_verify_cli(files, capsys):
     assert main(["verify", "--suite", "facts", "--max-n", "6"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -381,7 +446,7 @@ def test_config_file(files, tmp_path, capsys):
     assert main(["--config", str(cfg), "tree", "stats", str(files / "p3.edges")]) == 0
     verify = ["--config", str(cfg), "verify", "--suite", "facts", "--max-n", "4"]
     assert main(verify) == 0
-    for line in ("workers = 2", "seed = 7", "output_format = edgelist"):
+    for line in ("workers = 2", "seed = 7", "deterministic = true", "output_format = edgelist"):
         cfg.write_text(line + "\n")
         assert main(verify) == 5
 
@@ -441,3 +506,20 @@ def test_csv_output(files, capsys):
     table = capsys.readouterr().out.strip().splitlines()
     assert "value" in table[0].split(",")
     assert len(table) == 2
+
+
+def test_readme_global_options_match_the_parser_and_run_config():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [paragraph] = re.findall(r"^Global options:.*?(?=\n\n)", readme, re.S | re.M)
+    names = set(re.findall(r"`([^`]*)`", paragraph))
+    flags = {name.split()[0] for name in names if name.startswith("--")}
+    parser_flags = {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert flags == parser_flags
+    # the other lowercase names are config keys, apart from values and commands
+    keys = {n for n in names if re.fullmatch(r"[a-z_]+", n)} - {"json", "csv", "verify", "turan"}
+    assert keys == {f.name for f in fields(RunConfig)}

@@ -86,6 +86,16 @@ class TestEdgeJson:
         with pytest.raises(InputError):
             load_structure(p)
 
+    @pytest.mark.parametrize("n", [10**6 + 1, 2**70])
+    def test_vertex_count_limit(self, n):
+        with pytest.raises(InputError):
+            loads_edge_json(f'{{"kind":"3graph","n":{n},"edges":[]}}')
+        with pytest.raises(InputError):
+            loads_edge_text(f"kind=graph n={n}\n0 1\n")
+        with pytest.raises(InputError):
+            loads_coloring(f"n={n}\n0 1 2 0\n")
+        assert loads_edge_text("kind=graph n=1000000\n0 1\n").n == 10**6
+
     def test_load_structure_sniffs_format(self, tmp_path):
         p1 = tmp_path / "a.edges"
         p1.write_text(dumps_edge_text(path_graph(2)))
