@@ -25,7 +25,7 @@ from .builders import (
     triangle_blowup,
     triangle_system,
 )
-from .config import RunConfig, config_from_mapping, parse_config_file
+from .config import RunConfig, parse_config_file
 from .embed import Embedding, find_blowup, find_expansion, find_rainbow_expansion
 from .errors import BudgetExceededError, InputError, UsageError
 from .fileio import (
@@ -65,35 +65,34 @@ def _emit(data: dict, out: str | None, rows: list[dict] | None = None, fmt: str 
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = config_from_mapping(parse_config_file(args.config), cfg)
+    """Defaults, overridden by the config file, then the environment, then
+    the flags."""
+    fields = parse_config_file(args.config) if args.config else {}
+    if os.environ.get("CROSSCUT_CACHE_DIR"):
+        fields["cache_dir"] = Path(os.environ["CROSSCUT_CACHE_DIR"])
     if args.max_nodes is not None:
-        cfg.max_nodes = args.max_nodes
+        fields["max_nodes"] = args.max_nodes
     if args.cache_dir is not None:
-        cfg.cache_dir = Path(args.cache_dir)
-    elif os.environ.get("CROSSCUT_CACHE_DIR"):
-        cfg.cache_dir = Path(os.environ["CROSSCUT_CACHE_DIR"])
-    if args.output_format:
-        cfg.output_format = args.output_format
-    return cfg
+        fields["cache_dir"] = Path(args.cache_dir)
+    if args.output_format is not None:
+        fields["output_format"] = args.output_format
+    return RunConfig(**fields)
 
 
-def _cmd_tree(args) -> int:
-    if args.tree_cmd == "stats":
-        graph = load_graph(args.file)
-        profile = analyze_tree(graph)
-        _emit(profile.to_json(), args.out)
-        return EXIT_FOUND
-    if args.tree_cmd == "enum":
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        trees = enumerate_trees(args.n)
-        for i, t in enumerate(trees):
-            save_structure(t, outdir / f"tree_{args.n}_{i:03d}.edges")
-        _emit({"n": args.n, "count": len(trees), "dir": str(outdir)}, None)
-        return EXIT_FOUND
-    raise UsageError("unknown tree subcommand")
+def _cmd_tree_stats(args) -> int:
+    profile = analyze_tree(load_graph(args.file))
+    _emit(profile.to_json(), args.out)
+    return EXIT_FOUND
+
+
+def _cmd_tree_enum(args) -> int:
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    trees = enumerate_trees(args.n)
+    for i, t in enumerate(trees):
+        save_structure(t, outdir / f"tree_{args.n}_{i:03d}.edges")
+    _emit({"n": args.n, "count": len(trees), "dir": str(outdir)}, None)
+    return EXIT_FOUND
 
 
 def _cmd_construct(args) -> int:
@@ -115,10 +114,8 @@ def _cmd_construct(args) -> int:
         obj = expansion(load_graph(args.infile))
     elif kind == "blowup":
         obj = triangle_blowup(load_graph(args.infile))
-    elif kind == "kg":
-        obj = triangle_system(load_graph(args.infile))
     else:
-        raise UsageError(f"unknown construct kind {kind!r}")
+        obj = triangle_system(load_graph(args.infile))
     save_structure(obj, args.out, fmt=args.format)
     return EXIT_FOUND
 
@@ -137,11 +134,9 @@ def _cmd_contains(args) -> int:
     if args.pattern_kind == "expansion":
         host = load_triple_system(args.host)
         emb = find_expansion(host, pattern, budget=budget)
-    elif args.pattern_kind == "blowup":
+    else:
         host = load_graph(args.host)
         emb = find_blowup(host, pattern, budget=budget)
-    else:
-        raise UsageError("pattern-kind must be expansion or blowup")
     if emb is None:
         return EXIT_NEGATIVE
     if args.certificate:
@@ -183,10 +178,8 @@ def _cmd_extract(args) -> int:
     host = load_triple_system(args.infile)
     if args.mode == "full":
         out = cleaning_mod.extract_d_full(host, args.param)
-    elif args.mode == "linear":
-        out = cleaning_mod.extract_linear_subgraph(host, args.param)
     else:
-        raise UsageError("extract mode must be full or linear")
+        out = cleaning_mod.extract_linear_subgraph(host, args.param)
     save_structure(out, args.out, fmt=args.format)
     return EXIT_FOUND
 
@@ -224,11 +217,9 @@ def _cmd_closeness(args) -> int:
     if args.kind == "3graph":
         host = load_triple_system(args.infile)
         report = lab.hypergraph_closeness(host, args.t, args.delta)
-    elif args.kind == "graph":
+    else:
         host = load_graph(args.infile)
         report = lab.graph_closeness(host, args.t, args.delta)
-    else:
-        raise UsageError("kind must be graph or 3graph")
     if report is None:
         return EXIT_NEGATIVE
     _emit(report.to_json(), args.out)
@@ -327,10 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     stats = tree_sub.add_parser("stats")
     stats.add_argument("file")
     stats.add_argument("--out")
+    stats.set_defaults(func=_cmd_tree_stats)
     enum = tree_sub.add_parser("enum")
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--out", required=True)
-    tree.set_defaults(func=_cmd_tree)
+    enum.set_defaults(func=_cmd_tree_enum)
 
     construct = sub.add_parser("construct", help="build named objects")
     construct.add_argument(
@@ -413,11 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     anti.set_defaults(func=_cmd_anti_ramsey)
 
     verify = sub.add_parser("verify", help="batch verification suites")
-    verify.add_argument(
-        "--suite",
-        choices=["trees", "odd-paths", "even-paths", "cycles", "facts"],
-        required=True,
-    )
+    verify.add_argument("--suite", choices=sorted(lab._SUITES), required=True)
     verify.add_argument("--max-n", type=int, required=True, dest="max_n")
     verify.add_argument("--out")
     verify.set_defaults(func=_cmd_verify)

@@ -750,79 +750,69 @@ def find_rainbow_expansion(
     budget: SearchBudget | None = None,
 ) -> RainbowCertificate | None:
     """Exact search for an expansion of the pattern inside the complete
-    3-graph whose edge triples all receive distinct colors."""
+    3-graph whose edge triples all receive distinct colors.
+
+    Core maps are the injective tuples of host vertices in lexicographic
+    order, assigned along `_embedding_order`; each is completed edge by edge
+    with fresh vertices.  One budget node is one core map tried or one step
+    of a completion.
+    """
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
     if pattern.n + len(pattern.edges) > coloring.n:
         return None
-    return _RainbowSearch(coloring, pattern, budget).place(0, 0)
-
-
-class _RainbowSearch:
-    """Backtracking for find_rainbow_expansion: place() picks the core
-    images in embedding order, complete() the completion vertices; every
-    call of either is one budget node."""
-
-    __slots__ = ("coloring", "pattern", "budget", "order", "pat_edges", "images")
-
-    def __init__(self, coloring: Coloring, pattern: Graph, budget: SearchBudget | None):
-        self.coloring = coloring
-        self.pattern = pattern
-        self.budget = budget
-        self.order = _embedding_order(pattern)
-        self.pat_edges = pattern.edge_list()
-        self.images = [-1] * pattern.n
-
-    def place(self, i: int, core_mask: int) -> RainbowCertificate | None:
-        if self.budget is not None:
-            self.budget.tick()
-        images = self.images
-        if i == self.pattern.n:
-            got = self.complete(0, core_mask, set(), [])
-            if got is None:
-                return None
+    order = _embedding_order(pattern)
+    pat_edges = pattern.edge_list()
+    images = [0] * pattern.n
+    for core in itertools.permutations(range(coloring.n), pattern.n):
+        if budget is not None:
+            budget.tick()
+        for u, h in zip(order, core):
+            images[u] = h
+        pairs = [(images[u], images[v]) for u, v in pat_edges]
+        used = sum(1 << h for h in core)
+        ws = _rainbow_completion(coloring, pairs, used, set(), [], budget)
+        if ws is not None:
             emb = Embedding(
-                pattern=self.pattern,
+                pattern=pattern,
                 core_map=tuple(images),
-                expansion_map=tuple(zip(self.pat_edges, got)),
+                expansion_map=tuple(zip(pat_edges, ws)),
                 host_kind="3graph",
             )
-            colors = tuple(
-                self.coloring.color(images[u], images[v], w)
-                for (u, v), w in zip(self.pat_edges, got)
-            )
+            colors = tuple(coloring.color(a, b, w) for (a, b), w in zip(pairs, ws))
             return RainbowCertificate(emb, colors)
-        u = self.order[i]
-        for h in range(self.coloring.n):
-            if (core_mask >> h) & 1:
-                continue
-            images[u] = h
-            got = self.place(i + 1, core_mask | (1 << h))
-            if got is not None:
-                return got
-            images[u] = -1
-        return None
+    return None
 
-    def complete(
-        self, idx: int, used_mask: int, used_colors: set[int], ws: list[int]
-    ) -> list[int] | None:
-        if self.budget is not None:
-            self.budget.tick()
-        if idx == len(self.pat_edges):
-            return list(ws)
-        u, v = self.pat_edges[idx]
-        a, b = self.images[u], self.images[v]
-        for w in range(self.coloring.n):
-            if (used_mask >> w) & 1:
-                continue
-            c = self.coloring.color(a, b, w)
-            if c in used_colors:
-                continue
-            used_colors.add(c)
-            ws.append(w)
-            got = self.complete(idx + 1, used_mask | (1 << w), used_colors, ws)
-            if got is not None:
-                return got
-            ws.pop()
-            used_colors.remove(c)
-        return None
+
+def _rainbow_completion(
+    coloring: Coloring,
+    pairs: list[tuple[int, int]],
+    used_mask: int,
+    used_colors: set[int],
+    ws: list[int],
+    budget: SearchBudget | None,
+) -> list[int] | None:
+    """Extend ws, the completion vertices of the first len(ws) pairs, to
+    every pair with vertices outside used_mask and colors outside
+    used_colors."""
+    if budget is not None:
+        budget.tick()
+    if len(ws) == len(pairs):
+        return ws
+    a, b = pairs[len(ws)]
+    for w in range(coloring.n):
+        if (used_mask >> w) & 1:
+            continue
+        c = coloring.color(a, b, w)
+        if c in used_colors:
+            continue
+        used_colors.add(c)
+        ws.append(w)
+        got = _rainbow_completion(
+            coloring, pairs, used_mask | (1 << w), used_colors, ws, budget
+        )
+        if got is not None:
+            return got
+        ws.pop()
+        used_colors.remove(c)
+    return None

@@ -48,31 +48,43 @@ def _check_vertex_count(n: int, path: str) -> None:
         raise InputError(f"{path}: vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
+def _structure(kind: str, n: int, rows, where) -> Graph | TripleSystem:
+    """Build the structure from rows of vertex ids, rejecting a row of the
+    wrong arity, with a repeated vertex, or repeating an earlier edge;
+    where(i) locates row i in messages."""
+    arity = 2 if kind == "graph" else 3
+    edges = []
+    seen = set()
+    for i, vs in enumerate(rows):
+        if len(vs) != arity:
+            raise InputError(f"{where(i)}: expected {arity} vertex ids")
+        key = tuple(sorted(vs))
+        if len(set(key)) != arity:
+            raise InputError(f"{where(i)}: repeated vertex in edge")
+        if key in seen:
+            raise InputError(f"{where(i)}: duplicate edge {key}")
+        seen.add(key)
+        edges.append(vs)
+    return Graph(n, edges) if kind == "graph" else TripleSystem(n, edges)
+
+
+def _text_rows(lines: list[str], path: str):
+    for lineno, line in enumerate(lines, start=2):
+        try:
+            vs = tuple(int(p) for p in line.split())
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-integer vertex id") from None
+        yield vs
+
+
 def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
     if not lines:
         raise InputError(f"{path}: empty input")
     kind, n = _parse_header(lines[0], path)
-    arity = 2 if kind == "graph" else 3
-    edges = []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != arity:
-            raise InputError(f"{path}:{lineno}: expected {arity} vertex ids")
-        try:
-            vs = tuple(int(p) for p in parts)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-integer vertex id") from None
-        key = tuple(sorted(vs))
-        if len(set(key)) != arity:
-            raise InputError(f"{path}:{lineno}: repeated vertex in edge")
-        if key in seen:
-            raise InputError(f"{path}:{lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(vs)
-    return Graph(n, edges) if kind == "graph" else TripleSystem(n, edges)
+    rows = _text_rows(lines[1:], path)
+    return _structure(kind, n, rows, lambda i: f"{path}:{i + 2}")
 
 
 def dumps_edge_text(obj: Graph | TripleSystem) -> str:
@@ -103,18 +115,10 @@ def loads_edge_json(text: str, path: str = "<json>") -> Graph | TripleSystem:
     _check_vertex_count(n, path)
     if not isinstance(edges, list):
         raise InputError(f"{path}: edges must be a list")
-    arity = 2 if kind == "graph" else 3
-    seen = set()
     for e in edges:
         if not (isinstance(e, list) and all(_is_int(x) for x in e)):
             raise InputError(f"{path}: an edge is a list of integer ids, got {e!r}")
-        if len(e) != arity or len(set(e)) != arity:
-            raise InputError(f"{path}: bad edge {e}")
-        key = tuple(sorted(e))
-        if key in seen:
-            raise InputError(f"{path}: duplicate edge {e}")
-        seen.add(key)
-    return Graph(n, edges) if kind == "graph" else TripleSystem(n, edges)
+    return _structure(kind, n, edges, lambda i: f"{path}: edge {edges[i]}")
 
 
 def dumps_edge_json(obj: Graph | TripleSystem) -> str:

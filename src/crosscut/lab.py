@@ -46,8 +46,6 @@ from .structures import (
 )
 from .trees import (
     analyze_tree,
-    all_crosscut_pairs,
-    crosscut_number,
     crosscut_value,
     cycle_graph,
     decomposition_witness,
@@ -185,10 +183,10 @@ def _levelwise_max(
     empty: frozenset = frozenset()
     level: dict[tuple, frozenset] = {canonical_edge_key(n, empty): empty}
     best = objective(empty)
-    witnesses: dict[tuple, frozenset] = {canonical_edge_key(n, empty): empty}
+    witnesses = {canonical_edge_key(n, empty)}
     if seed_value > best:
         best = seed_value
-        witnesses = {}
+        witnesses = set()
     while level:
         nxt: dict[tuple, frozenset] = {}
         for current in level.values():
@@ -196,24 +194,22 @@ def _levelwise_max(
             addable = [
                 it for it in all_items if it not in current and is_free(current | {it})
             ]
-            completion = current | set(addable)
-            if objective(frozenset(completion)) < best:
+            if objective(current.union(addable)) < best:
                 continue
             for it in addable:
                 grown = current | {it}
-                key = canonical_edge_key(n, frozenset(grown))
+                key = canonical_edge_key(n, grown)
                 if key in nxt:
                     continue
-                nxt[key] = frozenset(grown)
+                nxt[key] = grown
                 val = objective(grown)
                 if val > best:
                     best = val
-                    witnesses = {key: frozenset(grown)}
+                    witnesses = {key}
                 elif val == best and len(witnesses) < WITNESS_CAP:
-                    witnesses.setdefault(key, frozenset(grown))
+                    witnesses.add(key)
         level = nxt
-    keys = sorted(witnesses)[:WITNESS_CAP]
-    return best, keys, budget.nodes
+    return best, sorted(witnesses), budget.nodes
 
 
 def _exact_turan(
@@ -854,7 +850,7 @@ def _even_paths_suite(max_n: int) -> list[dict]:
 def _cycles_suite(max_n: int) -> list[dict]:
     checks = []
     for k in range(3, max_n + 1):
-        value, _ = crosscut_number(cycle_graph(k))
+        value = crosscut_value(cycle_graph(k))
         checks.append(
             _check(
                 f"cycle length {k}: crosscut = floor((k+1)/2)",
@@ -888,9 +884,8 @@ def _trees_suite(max_n: int) -> list[dict]:
                 after = crosscut_value(tree.delete_edge(*e))
                 if after > profile.sigma:
                     delete_ok = False
-            pairs, _ = all_crosscut_pairs(tree)
-            max_i = max(len(p.independent) for p in pairs)
-            for pair in pairs:
+            max_i = max(len(p.independent) for p in profile.crosscut_pairs)
+            for pair in profile.crosscut_pairs:
                 witness = decomposition_witness(tree, pair)
                 if len(pair.independent) == max_i and not isinstance(
                     witness.case, LeafNeighborVertex

@@ -268,18 +268,14 @@ def independent_covering_number(graph: Graph) -> int | None:
     of its two 2-coloring classes; non-bipartite components make the value
     undefined.
     """
+    classes = graph.bipartition()
+    if classes is None:
+        return None
     total = 0
     for comp in graph.components():
-        cs = set(comp)
-        if not any(e[0] in cs for e in graph.edges):
-            continue
-        sub = graph.without_vertices(set(range(graph.n)) - cs)
-        classes = sub.bipartition()
-        if classes is None:
-            return None
-        a = {v for v in classes[0] if v in cs and graph.adj[v]}
-        b = {v for v in classes[1] if v in cs and graph.adj[v]}
-        total += min(len(a), len(b))
+        if len(comp) > 1:  # a component with edges
+            a = sum(1 for v in comp if v in classes[0])
+            total += min(a, len(comp) - a)
     return total
 
 
@@ -357,7 +353,7 @@ class TreeProfile:
 
 def analyze_tree(tree: Graph) -> TreeProfile:
     _require_tree(tree)
-    sigma, _ = crosscut_number(tree)
+    sigma = crosscut_value(tree)
     tau = covering_number(tree)
     tau_ind = independent_covering_number(tree)
     pairs, truncated = all_crosscut_pairs(tree)

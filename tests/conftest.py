@@ -34,6 +34,12 @@ def planted_host(rng: random.Random, n: int, t: int) -> TripleSystem:
     return TripleSystem(n, kept + rng.sample(others, round(0.03 * total)))
 
 
+@pytest.fixture(autouse=True)
+def _no_cache_dir_from_environment(monkeypatch):
+    """Keep a developer's CROSSCUT_CACHE_DIR out of the tests."""
+    monkeypatch.delenv("CROSSCUT_CACHE_DIR", raising=False)
+
+
 @pytest.fixture(scope="session")
 def cleaning_corpus():
     """200 seeded random systems paired round-robin with (k, t) settings."""

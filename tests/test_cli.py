@@ -451,6 +451,47 @@ def test_config_file(files, tmp_path, capsys):
         assert main(verify) == 5
 
 
+def test_cache_dir_from_environment_and_flag(files, capsys, tmp_path, monkeypatch):
+    args = ["turan", "--mode", "hypergraph", "--n", "5", "--pattern", str(files / "p2.edges")]
+    monkeypatch.setenv("CROSSCUT_CACHE_DIR", str(tmp_path / "env"))
+    assert main(args) == 0
+    assert len(list((tmp_path / "env").glob("turan-*.json"))) == 1
+    assert main(["--cache-dir", str(tmp_path / "flag")] + args) == 0
+    assert len(list((tmp_path / "flag").glob("turan-*.json"))) == 1
+    assert len(list((tmp_path / "env").glob("turan-*.json"))) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags, config, code",
+    [
+        (["--max-nodes", "-5"], "", 5),
+        (["--max-nodes", "0"], "", 5),
+        ([], "max_nodes = 0", 5),
+        ([], "max_nodes = -3", 5),
+        ([], "wall_clock_s = -1", 5),
+        ([], "wall_clock_s = 0", 5),
+        # a flag is checked even when it overrides a valid config value
+        (["--max-nodes", "0"], "max_nodes = 1000", 5),
+        (["--max-nodes", "1"], "", 4),
+        ([], "max_nodes = none\nwall_clock_s = none", 0),
+        (["--max-nodes", "1000000"], "wall_clock_s = 60", 0),
+    ],
+    ids=[
+        "flag-negative", "flag-zero", "file-zero", "file-negative", "file-clock-negative",
+        "file-clock-zero", "flag-zero-over-file", "flag-one-runs-out", "file-none", "positive",
+    ],
+)
+def test_budgets_must_be_positive(files, tmp_path, capsys, flags, config, code):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    argv = ["--config", str(cfg)] + flags + [
+        "turan", "--mode", "hypergraph", "--n", "5", "--pattern", str(files / "p2.edges")
+    ]
+    assert main(argv) == code
+    capsys.readouterr()
+
+
 def test_config_file_is_validated_for_every_subcommand(files, tmp_path):
     cfg = tmp_path / "bad.cfg"
     p2 = str(files / "p2.edges")

@@ -27,7 +27,7 @@ from crosscut.embed import (
     find_rainbow_expansion,
     vary_cycle_length,
 )
-from crosscut.errors import HypothesisError, InputError
+from crosscut.errors import BudgetExceededError, HypothesisError, InputError
 from crosscut.lab import (
     enumerate_intersecting_edge_families,
     enumerate_two_intersecting_systems,
@@ -520,3 +520,53 @@ class TestRainbow:
         chi = lower_bound_coloring(s_construction(8, 1))
         c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert find_rainbow_expansion(chi, c4) is None
+
+    # per coloring, then per pattern P2, P3, C3: (core map, completion vertex
+    # of each pattern edge, colors) of the first certificate in lexicographic
+    # order of core maps, or None when the coloring has no rainbow copy
+    PINNED = [
+        (7, 2, [((1, 0, 2), (5, 3), (1, 0)), None, None]),
+        (7, 3, [((1, 0, 2), (3, 4), (2, 0)), ((4, 0, 1, 2), (5, 3, 6), (0, 2, 1)),
+                ((0, 1, 2), (3, 4, 6), (2, 0, 1))]),
+        (7, 4, [((1, 0, 2), (3, 4), (2, 0)), ((1, 0, 2, 5), (3, 4, 6), (2, 0, 1)),
+                ((1, 2, 5), (3, 0, 6), (2, 0, 1))]),
+        (8, 2, [((1, 0, 2), (3, 4), (0, 1)), None, None]),
+        (8, 3, [((0, 1, 2), (4, 3), (0, 2)), ((2, 1, 4, 5), (3, 0, 7), (2, 0, 1)),
+                ((1, 4, 5), (0, 3, 7), (0, 2, 1))]),
+        (8, 4, [((1, 0, 2), (3, 4), (2, 0)), ((2, 0, 1, 4), (5, 3, 6), (0, 2, 1)),
+                ((0, 1, 4), (3, 2, 6), (2, 0, 1))]),
+    ]
+
+    def test_pinned_certificates(self):
+        from crosscut.builders import Coloring
+
+        rng = random.Random(2026)
+        for n, k, expected in self.PINNED:
+            # mostly color 0, so the search backtracks before it succeeds
+            chi = Coloring(
+                n,
+                {
+                    t: 0 if rng.random() < 0.85 else rng.randrange(1, k)
+                    for t in itertools.combinations(range(n), 3)
+                },
+            )
+            for pat, want in zip((path_graph(2), path_graph(3), cycle_graph(3)), expected):
+                cert = find_rainbow_expansion(chi, pat)
+                if want is None:
+                    assert cert is None
+                    continue
+                core, completion, colors = want
+                assert cert.embedding.to_json() == {
+                    "host_kind": "3graph",
+                    "pattern": {"n": pat.n, "edges": [list(e) for e in pat.edge_list()]},
+                    "core_map": list(core),
+                    "expansion_map": [
+                        {"edge": list(e), "vertex": w}
+                        for e, w in zip(pat.edge_list(), completion)
+                    ],
+                }
+                assert cert.colors == colors
+
+    def test_budget_stops_a_rainbow_free_search(self):
+        with pytest.raises(BudgetExceededError):
+            find_rainbow_expansion(constant_coloring(8), path_graph(2), SearchBudget(max_nodes=10))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -111,6 +112,22 @@ class TestCoveringNumbers:
         assert independent_covering_number(cycle_graph(6)) == tau_ind_naive(
             cycle_graph(6)
         )
+
+    def test_tau_ind_on_several_components(self):
+        # disjoint trees, even and odd cycles and isolated vertices
+        rng = random.Random(17)
+        for _ in range(300):
+            edges, v = [], rng.randint(0, 1)
+            while v < 8 and (not edges or rng.random() < 0.8):
+                size = rng.randint(1, 5)
+                if rng.random() < 0.5:
+                    edges += [(v + rng.randrange(j), v + j) for j in range(1, size)]
+                else:
+                    size = max(size, 3)
+                    edges += [(v + j, v + (j + 1) % size) for j in range(size)]
+                v += size + rng.randint(0, 1)
+            graph = Graph(v, edges)
+            assert independent_covering_number(graph) == tau_ind_naive(graph)
 
     def test_invariant_chain_small_trees(self):
         for n in range(2, 10):
