@@ -26,10 +26,7 @@ class RunConfig:
     cache_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise InputError(f"max_nodes must be positive, got {self.max_nodes}")
-        if self.wall_clock_s is not None and not self.wall_clock_s > 0:
-            raise InputError(f"wall_clock_s must be positive, got {self.wall_clock_s}")
+        _check_limits(self.max_nodes, self.wall_clock_s)
         if self.output_format not in ("json", "csv"):
             raise InputError(f"unknown output format {self.output_format!r}")
 
@@ -37,16 +34,26 @@ class RunConfig:
         return SearchBudget(self.max_nodes, self.wall_clock_s)
 
 
+def _check_limits(max_nodes: int | None, wall_clock_s: float | None) -> None:
+    """InputError unless each given limit is positive (None is unlimited)."""
+    if max_nodes is not None and max_nodes < 1:
+        raise InputError(f"max_nodes must be positive, got {max_nodes}")
+    if wall_clock_s is not None and not wall_clock_s > 0:
+        raise InputError(f"wall_clock_s must be positive, got {wall_clock_s}")
+
+
 class SearchBudget:
     """Node/wall-clock counter for exhaustive searches.
 
     tick() raises BudgetExceededError when a limit is hit; exceeding a budget
-    is always an error, never a silent downgrade.
+    is always an error, never a silent downgrade.  A limit that is given must
+    be positive, else InputError.
     """
 
     __slots__ = ("max_nodes", "deadline", "nodes")
 
     def __init__(self, max_nodes: int | None = None, wall_clock_s: float | None = None):
+        _check_limits(max_nodes, wall_clock_s)
         self.max_nodes = max_nodes
         self.deadline = None if wall_clock_s is None else time.monotonic() + wall_clock_s
         self.nodes = 0

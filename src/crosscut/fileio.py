@@ -68,8 +68,15 @@ def _structure(kind: str, n: int, rows, where) -> Graph | TripleSystem:
     return Graph(n, edges) if kind == "graph" else TripleSystem(n, edges)
 
 
-def _text_rows(lines: list[str], path: str):
-    for lineno, line in enumerate(lines, start=2):
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines that are neither blank nor comments, each with
+    its physical line number, so that messages point into the file."""
+    numbered = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1)]
+    return [(i, l) for i, l in numbered if l and not l.startswith("#")]
+
+
+def _text_rows(lines: list[tuple[int, str]], path: str):
+    for lineno, line in lines:
         try:
             vs = tuple(int(p) for p in line.split())
         except ValueError:
@@ -78,13 +85,12 @@ def _text_rows(lines: list[str], path: str):
 
 
 def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
-    lines = [l.strip() for l in text.splitlines()]
-    lines = [l for l in lines if l and not l.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise InputError(f"{path}: empty input")
-    kind, n = _parse_header(lines[0], path)
-    rows = _text_rows(lines[1:], path)
-    return _structure(kind, n, rows, lambda i: f"{path}:{i + 2}")
+    kind, n = _parse_header(lines[0][1], path)
+    rows = lines[1:]
+    return _structure(kind, n, _text_rows(rows, path), lambda i: f"{path}:{rows[i][0]}")
 
 
 def dumps_edge_text(obj: Graph | TripleSystem) -> str:
@@ -167,19 +173,18 @@ def save_structure(obj: Graph | TripleSystem, path: str | Path, fmt: str = "edge
 
 
 def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
-    lines = [l.strip() for l in text.splitlines()]
-    lines = [l for l in lines if l and not l.startswith("#")]
-    if not lines or not lines[0].startswith("n="):
+    lines = _content_lines(text)
+    if not lines or not lines[0][1].startswith("n="):
         raise InputError(f"{path}: first line must be n=<N>")
     try:
-        n = int(lines[0][2:])
+        n = int(lines[0][1][2:])
     except ValueError:
         raise InputError(f"{path}: bad n") from None
     if n < 0:
         raise InputError(f"{path}: n must be nonnegative")
     _check_vertex_count(n, path)
     color_of = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 4:
             raise InputError(f"{path}:{lineno}: expected 'u v w c'")

@@ -44,6 +44,7 @@ from .structures import (
     TriangleClass,
     EmptyClass,
 )
+from .symmetry import canonical_edge_key
 from .trees import (
     analyze_tree,
     crosscut_value,
@@ -62,68 +63,6 @@ RAINBOW_CHECK_LIMIT = 8  # largest n whose certificate coloring is searched for 
 
 # ---------------------------------------------------------------------------
 # canonical forms (isomorph rejection, cache keys)
-
-
-def _refined_classes(n: int, edges: list[tuple[int, ...]]) -> list[list[int]]:
-    """Vertex classes fixed by any isomorphism: iterated degree-vector
-    refinement (colors of co-edge partners)."""
-    colors = [0] * n
-    for _ in range(n + 1):
-        sigs = []
-        for v in range(n):
-            partner_colors = sorted(
-                tuple(sorted(colors[u] for u in e if u != v))
-                for e in edges
-                if v in e
-            )
-            sigs.append((colors[v], tuple(partner_colors)))
-        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        nxt = [table[s] for s in sigs]
-        if nxt == colors:
-            break
-        colors = nxt
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
-
-
-def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
-    """Minimum relabeled sorted edge tuple over all refinement-respecting
-    permutations; a true canonical form for graphs and 3-graphs.
-
-    Any isomorphism preserves the refinement signature of a vertex, so
-    relabelings that assign label blocks class by class (classes in their
-    canonical signature order) suffice.  Vertices outside every edge never
-    appear in the key, so only edge-touching classes are permuted.
-    """
-    items = sorted(tuple(sorted(e)) for e in edges)
-    if not items:
-        return ()
-    touched = {v for e in items for v in e}
-    classes = _refined_classes(n, items)
-    offsets = []
-    slot = 0
-    for cls in classes:
-        offsets.append(slot)
-        slot += len(cls)
-    active = [i for i, cls in enumerate(classes) if set(cls) & touched]
-    best: tuple | None = None
-    # lists, not iterators, for product(): tuples built from iterators are
-    # allocated at a spare size and shrunk, and pile up in CPython's tuple
-    # free lists until a full collection
-    for perm_parts in itertools.product(
-        *[list(itertools.permutations(classes[i])) for i in active]
-    ):
-        relabel: dict[int, int] = {}
-        for i, perm in zip(active, perm_parts):
-            for j, v in enumerate(perm):
-                relabel[v] = offsets[i] + j
-        key = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in items))
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
 
 
 def canonical_graph_key(graph: Graph) -> tuple:
@@ -178,21 +117,31 @@ def _levelwise_max(
     representative per isomorphism class level by level, pruning classes
     whose full completion cannot beat the best known objective.
 
+    Each representative carries its parent's addable list, and only the
+    items of that list outside it are tested.  The families are downward
+    closed: if grown | {x} is free, so is its subset current | {x}, so
+    every item addable to grown = current | {it} lies in current's addable
+    list.  Filtering that list keeps the order of all_items, so each
+    addable list, and with it every child, key and count, is the one a
+    test of every item would give.  Siblings share one list.
+
     Returns (best objective, canonical witness keys, node count).
     """
     empty: frozenset = frozenset()
-    level: dict[tuple, frozenset] = {canonical_edge_key(n, empty): empty}
+    level: dict[tuple, tuple[frozenset, list]] = {
+        canonical_edge_key(n, empty): (empty, all_items)
+    }
     best = objective(empty)
     witnesses = {canonical_edge_key(n, empty)}
     if seed_value > best:
         best = seed_value
         witnesses = set()
     while level:
-        nxt: dict[tuple, frozenset] = {}
-        for current in level.values():
+        nxt: dict[tuple, tuple[frozenset, list]] = {}
+        for current, candidates in level.values():
             budget.tick()
             addable = [
-                it for it in all_items if it not in current and is_free(current | {it})
+                it for it in candidates if it not in current and is_free(current | {it})
             ]
             if objective(current.union(addable)) < best:
                 continue
@@ -201,7 +150,7 @@ def _levelwise_max(
                 key = canonical_edge_key(n, grown)
                 if key in nxt:
                     continue
-                nxt[key] = grown
+                nxt[key] = (grown, addable)
                 val = objective(grown)
                 if val > best:
                     best = val

@@ -331,3 +331,113 @@ def linear_subgraph_naive(system: TripleSystem, i: int) -> list:
         chosen.append(edges[pick])
         alive -= {pick} | (adj[pick] & alive)
     return chosen
+
+
+# ---------------------------------------------------------------------------
+# reference canonical forms and orderly generation: the earlier, plainer
+# implementations of crosscut.lab, kept verbatim so that the faster ones can
+# be checked byte for byte
+
+
+def _refined_classes_reference(n: int, edges: list[tuple[int, ...]]) -> list[list[int]]:
+    """Vertex classes fixed by any isomorphism: iterated degree-vector
+    refinement (colors of co-edge partners)."""
+    colors = [0] * n
+    for _ in range(n + 1):
+        sigs = []
+        for v in range(n):
+            partner_colors = sorted(
+                tuple(sorted(colors[u] for u in e if u != v))
+                for e in edges
+                if v in e
+            )
+            sigs.append((colors[v], tuple(partner_colors)))
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        nxt = [table[s] for s in sigs]
+        if nxt == colors:
+            break
+        colors = nxt
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    return [classes[c] for c in sorted(classes)]
+
+
+def canonical_edge_key_reference(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
+    """Minimum relabeled sorted edge tuple over all refinement-respecting
+    permutations; a true canonical form for graphs and 3-graphs.
+
+    Any isomorphism preserves the refinement signature of a vertex, so
+    relabelings that assign label blocks class by class (classes in their
+    canonical signature order) suffice.  Vertices outside every edge never
+    appear in the key, so only edge-touching classes are permuted.
+    """
+    items = sorted(tuple(sorted(e)) for e in edges)
+    if not items:
+        return ()
+    touched = {v for e in items for v in e}
+    classes = _refined_classes_reference(n, items)
+    offsets = []
+    slot = 0
+    for cls in classes:
+        offsets.append(slot)
+        slot += len(cls)
+    active = [i for i, cls in enumerate(classes) if set(cls) & touched]
+    best: tuple | None = None
+    for perm_parts in itertools.product(
+        *[list(itertools.permutations(classes[i])) for i in active]
+    ):
+        relabel: dict[int, int] = {}
+        for i, perm in zip(active, perm_parts):
+            for j, v in enumerate(perm):
+                relabel[v] = offsets[i] + j
+        key = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in items))
+        if best is None or key < best:
+            best = key
+    assert best is not None
+    return best
+
+
+def levelwise_max_reference(
+    n: int,
+    all_items: list[tuple[int, ...]],
+    is_free,
+    objective,
+    seed_value: int,
+    budget,
+    canonical_edge_key=canonical_edge_key_reference,
+) -> tuple[int, list[tuple], int]:
+    """Orderly generation that recomputes every addable set from all of
+    `all_items`.  Returns (best objective, canonical witness keys, node
+    count) with the given canonical key function."""
+    witness_cap = 16
+    empty: frozenset = frozenset()
+    level: dict[tuple, frozenset] = {canonical_edge_key(n, empty): empty}
+    best = objective(empty)
+    witnesses = {canonical_edge_key(n, empty)}
+    if seed_value > best:
+        best = seed_value
+        witnesses = set()
+    while level:
+        nxt: dict[tuple, frozenset] = {}
+        for current in level.values():
+            budget.tick()
+            addable = [
+                it for it in all_items if it not in current and is_free(current | {it})
+            ]
+            if objective(current.union(addable)) < best:
+                continue
+            for it in addable:
+                grown = current | {it}
+                key = canonical_edge_key(n, grown)
+                if key in nxt:
+                    continue
+                nxt[key] = grown
+                val = objective(grown)
+                if val > best:
+                    best = val
+                    witnesses = {key}
+                elif val == best and len(witnesses) < witness_cap:
+                    witnesses.add(key)
+        level = nxt
+    return best, sorted(witnesses), budget.nodes

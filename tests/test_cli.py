@@ -492,6 +492,13 @@ def test_budgets_must_be_positive(files, tmp_path, capsys, flags, config, code):
     capsys.readouterr()
 
 
+def test_non_positive_budget_message(files, capsys):
+    argv = ["--max-nodes", "-1", "turan", "--mode", "hypergraph", "--n", "5",
+            "--pattern", str(files / "p2.edges")]
+    assert main(argv) == 5
+    assert "max_nodes must be positive, got -1" in capsys.readouterr().err
+
+
 def test_config_file_is_validated_for_every_subcommand(files, tmp_path):
     cfg = tmp_path / "bad.cfg"
     p2 = str(files / "p2.edges")

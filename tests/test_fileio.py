@@ -42,6 +42,15 @@ class TestEdgeText:
         text = "# a graph\nkind=graph n=3\n\n0 1\n# trailing\n"
         assert loads_edge_text(text) == Graph(3, [(0, 1)])
 
+    def test_messages_give_physical_line_numbers(self):
+        text = "kind=graph n=3\n# comment\n\n0 1\n0 0\n"
+        with pytest.raises(InputError, match=r"^<text>:5: repeated vertex"):
+            loads_edge_text(text)
+        with pytest.raises(InputError, match=r"^<text>:4: non-integer vertex id"):
+            loads_edge_text("# head\nkind=3graph n=4\n\n0 1 x\n")
+        with pytest.raises(InputError, match=r"^g.edges:6: duplicate edge"):
+            loads_edge_text("kind=graph n=3\n0 1\n\n\n# c\n1 0\n", "g.edges")
+
 
 class TestEdgeJson:
     def test_round_trip(self):
@@ -121,3 +130,10 @@ class TestColoringFormat:
         assert loads_coloring(text).color_count == 1
         with pytest.raises(InputError):
             loads_coloring(text + "\n0 1 2 1\n")
+
+    def test_messages_give_physical_line_numbers(self):
+        text = "# a coloring\nn=4\n\n0 1 2 0\n# next\n0 2 1 1\n"
+        with pytest.raises(InputError, match=r"^<coloring>:6: duplicate triple"):
+            loads_coloring(text)
+        with pytest.raises(InputError, match=r"^<coloring>:4: expected 'u v w c'"):
+            loads_coloring("n=4\n\n# c\n0 1 2\n")

@@ -1,13 +1,19 @@
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from crosscut import lab
 from crosscut.builders import s_construction, s_graph, s_size
 from crosscut.config import SearchBudget
 from crosscut.errors import BudgetExceededError, InputError
 from crosscut.lab import (
     anti_ramsey_bounds,
     bipartization_distance,
+    canonical_edge_key,
     canonical_graph_key,
     canonical_triples_key,
     cached_turan,
@@ -23,11 +29,15 @@ from crosscut.trees import complete_graph, cycle_graph, path_graph, star_graph
 
 from conftest import random_graph
 from oracles import (
+    canonical_edge_key_reference,
     canonical_key_naive,
     generalized_turan_naive,
+    levelwise_max_reference,
     maxcut_naive,
     turan_hypergraph_naive,
 )
+
+EXPECTED_FILE = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
 
 
 class TestCanonicalForms:
@@ -57,6 +67,129 @@ class TestCanonicalForms:
         assert canonical_triples_key(a) == canonical_triples_key(b)
         c = TripleSystem(5, [(0, 1, 2), (0, 1, 3)])
         assert canonical_triples_key(a) != canonical_triples_key(c)
+
+
+class TestCanonicalKeyMatchesReference:
+    """The refined, twin-collapsed key is byte-identical to the plain
+    enumeration over every permutation of every refinement class."""
+
+    def test_random_graphs_and_3_graphs(self):
+        rng = random.Random(2718)
+        for i in range(2400):
+            n = rng.randint(1, 7)
+            arity = 2 if i % 2 else 3
+            density = rng.uniform(0.1, 0.95)
+            edges = frozenset(
+                e for e in itertools.combinations(range(n), arity) if rng.random() < density
+            )
+            assert canonical_edge_key(n, edges) == canonical_edge_key_reference(n, edges)
+
+    def test_structured_inputs(self):
+        systems = [Graph(n, []) for n in range(5)]
+        systems += [complete_graph(n) for n in range(2, 8)]
+        systems += [TripleSystem(n, itertools.combinations(range(n), 3)) for n in range(3, 8)]
+        systems += [star_graph(k) for k in range(1, 7)]
+        systems += [cycle_graph(k) for k in range(3, 8)]
+        systems += [path_graph(k) for k in range(1, 7)]
+        for n in range(1, 8):
+            for t in range(min(n, 3) + 1):
+                systems.append(s_construction(n, t))
+                systems.append(s_graph(n, t))
+                if (n - t) // 2 >= 2:
+                    systems.append(s_graph(n, t, plus=True))
+        for system in systems:
+            assert canonical_edge_key(system.n, system.edges) == canonical_edge_key_reference(
+                system.n, system.edges
+            )
+
+    def test_star_keys_have_closed_form(self):
+        # every leaf is a twin of every other, so one arrangement is tried
+        for k in range(1, 11):
+            assert canonical_graph_key(star_graph(k)) == (k + 1, tuple((i, k) for i in range(k)))
+
+
+@pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
+@pytest.mark.parametrize(
+    "pattern", [path_graph(1), path_graph(2), path_graph(3), cycle_graph(3)], ids=["P1", "P2", "P3", "C3"]
+)
+def test_levelwise_max_matches_reference(monkeypatch, solve, pattern):
+    """Inherited addable sets leave (best, witnesses, nodes) unchanged."""
+    fast = lab._levelwise_max
+    runs = []
+
+    def both(n, all_items, is_free, objective, seed_value, budget):
+        want = levelwise_max_reference(
+            n, all_items, is_free, objective, seed_value, SearchBudget(), canonical_edge_key
+        )
+        got = fast(n, all_items, is_free, objective, seed_value, budget)
+        runs.append((got, want))
+        return got
+
+    monkeypatch.setattr(lab, "_levelwise_max", both)
+    for n in range(3, 7):
+        solve(n, pattern)
+    assert len(runs) == 4
+    for got, want in runs:
+        assert got == want
+
+
+class TestPinnedTuranAnswers:
+    """Turán witnesses are canonical keys, so a changed key changes them."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "hypergraph 6 path2",
+            "hypergraph 7 path2",
+            "hypergraph 6 cycle3",
+            "triangles 6 path2",
+            "triangles 6 cycle3",
+        ],
+    )
+    def test_benchmark_answers(self, key):
+        answer = json.loads(EXPECTED_FILE.read_text())["turan"][key]
+        mode, n, name = key.split()
+        pattern = path_graph(int(name[-1])) if name.startswith("path") else cycle_graph(int(name[-1]))
+        solve = exact_turan_hypergraph if mode == "hypergraph" else exact_generalized_turan
+        result = solve(int(n), pattern)
+        witnesses = [[list(e) for e in w] for w in result.extremal_witnesses]
+        digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()[:16]
+        assert (result.value, digest) == (answer["value"], answer["witnesses"])
+
+    def test_hypergraph_6_p3(self):
+        # every 3-graph on 6 vertices avoids the 7-vertex expansion of P3
+        assert exact_turan_hypergraph(6, path_graph(3)).to_json() == {
+            "n": 6,
+            "pattern": [[0, 1], [1, 2], [2, 3]],
+            "value": 20,
+            "exhaustive": True,
+            "extremal_witnesses": [[list(t) for t in itertools.combinations(range(6), 3)]],
+            "lower_bound_construction_value": 10,
+            "construction_free": True,
+            "matches_construction": False,
+            "nodes": 2136,
+        }
+
+    def test_triangles_7_p2(self):
+        triangle = [[0, 1], [0, 2], [1, 2]]
+        k4 = [[3, 4], [3, 5], [3, 6], [4, 5], [4, 6], [5, 6]]
+        assert exact_generalized_turan(7, path_graph(2)).to_json() == {
+            "n": 7,
+            "pattern": [[0, 1], [1, 2]],
+            "value": 5,
+            "exhaustive": True,
+            "extremal_witnesses": [
+                [[0, 1], [0, 2], [0, 4], [1, 2], [1, 5], [2, 6]] + k4,
+                triangle + [[1, 5], [2, 6]] + k4,
+                triangle + [[2, 6]] + k4,
+                triangle + k4,
+                [[u, v] for u in range(5) for v in (5, 6)] + [[5, 6]],
+            ],
+            "lower_bound_construction_value": 4,
+            "construction_free": True,
+            "matches_construction": False,
+            "nodes": 400,
+        }
 
 
 class TestExactTuranHypergraph:
@@ -100,6 +233,21 @@ def test_turan_honours_the_caller_budget(solve):
         solve(5, path_graph(2), budget=SearchBudget(max_nodes=1))
     budget = SearchBudget()
     assert solve(5, path_graph(2), budget=budget).nodes == budget.nodes > 0
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_nodes": -1}, {"max_nodes": 0}, {"wall_clock_s": 0}, {"wall_clock_s": -2.5}],
+    ids=["nodes-negative", "nodes-zero", "clock-zero", "clock-negative"],
+)
+def test_non_positive_budget_is_an_input_error(limits):
+    with pytest.raises(InputError, match="must be positive"):
+        SearchBudget(**limits)
+
+
+def test_positive_and_unlimited_budgets_are_accepted():
+    assert SearchBudget(max_nodes=1, wall_clock_s=0.5).max_nodes == 1
+    assert SearchBudget(None, None).deadline is None
 
 
 class TestExactGeneralizedTuran:
