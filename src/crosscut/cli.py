@@ -255,17 +255,20 @@ def _cmd_check(args) -> int:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: a certificate is a JSON object")
-    if data.get("kind") == "embedding":
-        emb = _embedding_from(data, path)
-        host = load_structure(args.host)
-        problems = emb.violations(host)
-        if problems:
-            _emit({"valid": False, "problems": problems}, None)
-            return EXIT_NEGATIVE
-        _emit({"valid": True}, None)
-        return EXIT_FOUND
-    if data.get("kind") == "rainbow":
-        emb = _embedding_from(data, path)
+    kind = data.get("kind")
+    if kind == "cleaning-trace":
+        host = load_triple_system(args.host)
+        trace = cleaning_mod.cleaning_algorithm(host, data.get("k"), data.get("t"))
+        replay = trace.to_json()
+        same = replay == {key: data.get(key) for key in replay}
+        _emit({"valid": same}, None)
+        return EXIT_FOUND if same else EXIT_NEGATIVE
+    if kind not in ("embedding", "rainbow"):
+        raise InputError("unknown certificate kind")
+    emb = _embedding_from(data, path)
+    if kind == "embedding":
+        problems = emb.violations(load_structure(args.host))
+    else:
         coloring = load_coloring(args.host)
         colors = data.get("colors", [])
         if not (isinstance(colors, list) and all(_is_int(c) for c in colors)):
@@ -281,19 +284,11 @@ def _cmd_check(args) -> int:
                 problems.append("colors repeat")
             if sorted(seen_colors) != sorted(colors):
                 problems.append("recorded colors do not match the coloring")
-        if problems:
-            _emit({"valid": False, "problems": problems}, None)
-            return EXIT_NEGATIVE
-        _emit({"valid": True}, None)
-        return EXIT_FOUND
-    if data.get("kind") == "cleaning-trace":
-        host = load_triple_system(args.host)
-        trace = cleaning_mod.cleaning_algorithm(host, data.get("k"), data.get("t"))
-        replay = trace.to_json()
-        same = replay == {key: data.get(key) for key in replay}
-        _emit({"valid": same}, None)
-        return EXIT_FOUND if same else EXIT_NEGATIVE
-    raise InputError("unknown certificate kind")
+    if problems:
+        _emit({"valid": False, "problems": problems}, None)
+        return EXIT_NEGATIVE
+    _emit({"valid": True}, None)
+    return EXIT_FOUND
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ reject out-of-range ids, duplicate edges, and loops; the JSON parser also
 rejects a document that is not an object, a count or id that is not an
 integer (booleans included), and edges that are not lists.  Coloring files
 list `u v w c` for every triple of [n].  Every loader rejects a vertex
-count above 10^6 before allocating anything for it.
+count below 0 or above 10^6 before allocating anything for it.
 """
 
 from __future__ import annotations
@@ -44,14 +44,16 @@ def _parse_header(line: str, path: str) -> tuple[str, int]:
 
 
 def _check_vertex_count(n: int, path: str) -> None:
+    if n < 0:
+        raise InputError(f"{path}: vertex count must be nonnegative")
     if n > _MAX_VERTICES:
         raise InputError(f"{path}: vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
 def _structure(kind: str, n: int, rows, where) -> Graph | TripleSystem:
     """Build the structure from rows of vertex ids, rejecting a row of the
-    wrong arity, with a repeated vertex, or repeating an earlier edge;
-    where(i) locates row i in messages."""
+    wrong arity, with an id outside [0, n), with a repeated vertex, or
+    repeating an earlier edge; where(i) locates row i in messages."""
     arity = 2 if kind == "graph" else 3
     edges = []
     seen = set()
@@ -59,6 +61,9 @@ def _structure(kind: str, n: int, rows, where) -> Graph | TripleSystem:
         if len(vs) != arity:
             raise InputError(f"{where(i)}: expected {arity} vertex ids")
         key = tuple(sorted(vs))
+        if key[0] < 0 or key[-1] >= n:
+            bad = key[0] if key[0] < 0 else key[-1]
+            raise InputError(f"{where(i)}: vertex {bad} out of range for n={n}")
         if len(set(key)) != arity:
             raise InputError(f"{where(i)}: repeated vertex in edge")
         if key in seen:
@@ -180,8 +185,6 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
         n = int(lines[0][1][2:])
     except ValueError:
         raise InputError(f"{path}: bad n") from None
-    if n < 0:
-        raise InputError(f"{path}: n must be nonnegative")
     _check_vertex_count(n, path)
     color_of = {}
     for lineno, line in lines[1:]:

@@ -2,10 +2,12 @@
 decomposition witnesses, and isomorph-free enumeration of small trees.
 
 The crosscut number of a graph is min over independent sets I of
-|I| + #(edges avoiding I).  It is computed exactly: by subtree dynamic
-programming on forest components and by pruned enumeration on components
-with a cycle (which admits the cycle inputs some checks need).  The value
-is additive over components, matching the definition applied to forests.
+|I| + #(edges avoiding I).  One dynamic program over a spanning tree of each
+component, with forced-in and forced-out vertex sets, answers every crosscut
+question exactly: the value, the canonical pair and the walk over all
+optimal pairs.  Components with one cycle (which admits the cycle inputs
+some checks need) are also in the domain.  The value is additive over
+components, matching the definition applied to forests.
 """
 
 from __future__ import annotations
@@ -16,131 +18,104 @@ from dataclasses import dataclass
 from .errors import InputError
 from .structures import Graph, Pair, _mask_vertices, sorted_pair
 
-_INF = (1 << 30, 0)
-
 PAIR_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
-# crosscut optimum (cost, -size) machinery
+# crosscut optimum: one spanning-tree DP with forced-in and forced-out sets
+
+# The DP packs a set's cost and size as cost * _SCALE - size: packed values
+# add like pairs, and the least has the least cost, then the largest size.
+# None is negative (cost >= size), so any sum holding _INF, the mark of
+# unsatisfiable forced sets, is at least _INF.
+_SCALE = 1 << 32
+_INF = 1 << 96
+
+# (vertex, spanning-tree children) children-first, and the off-tree edge
+_Component = tuple[list[tuple[int, list[int]]], Pair | None]
 
 
-def _component_edges(graph: Graph, comp: list[int]) -> list[Pair]:
-    cs = set(comp)
-    return [e for e in graph.edges if e[0] in cs]
+def _cost(packed: int) -> int:
+    return -(-packed // _SCALE)  # sizes stay below _SCALE
 
 
-def _opt_tree_component(
-    graph: Graph, comp: list[int], forced_in: set[int]
-) -> tuple[int, int]:
-    """Best (cost, -size) over independent sets of one tree component."""
-    root = comp[0]
-    parent = {root: -1}
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in _mask_vertices(graph.adj[v]):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                stack.append(w)
-    dp_in: dict[int, tuple[int, int]] = {}
-    dp_out: dict[int, tuple[int, int]] = {}
-    for v in reversed(order):
-        children = [w for w in _mask_vertices(graph.adj[v]) if parent.get(w) == v]
-        vin = (1, -1)
-        vout = (0, 0)
+def _dp_plan(graph: Graph) -> list[_Component]:
+    """One traversal per component.  A second off-tree edge in a component
+    is a second cycle: outside the domain."""
+    parent: dict[int, int] = {}
+    plan = []
+    for root in range(graph.n):
+        if root in parent:
+            continue
+        parent[root] = -1
+        order: list[tuple[int, list[int]]] = [(root, [])]
+        off = None
+        for v, children in order:  # grows as it goes: breadth-first
+            for w in _mask_vertices(graph.adj[v]):
+                if w not in parent:
+                    parent[w] = v
+                    children.append(w)
+                    order.append((w, []))
+                elif w != parent[v] and v < w:  # met from both ends; keep one
+                    if off is not None:
+                        raise InputError(
+                            "crosscut number is defined here for forests and "
+                            "components with at most one cycle"
+                        )
+                    off = (v, w)
+        plan.append((order[::-1], off))
+    return plan
+
+
+def _tree_opt(post: list[tuple[int, list[int]]], forced_in: int, forced_out: int) -> int:
+    """Best packed (cost, size) over the sets I independent in one spanning
+    tree with forced_in inside I and forced_out outside it (bitmasks)."""
+    best: dict[int, tuple[int, int]] = {}
+    for v, children in post:
+        vin, vout = _SCALE - 1, 0  # {v} alone; nothing
         for c in children:
-            cin, cout = dp_in[c], dp_out[c]
-            vin = (vin[0] + cout[0], vin[1] + cout[1])
+            cin, cout = best[c]
+            vin += cout
             # edge (v, c) is uncovered only when both endpoints stay out
-            pick = min(cin, (cout[0] + 1, cout[1]))
-            vout = (vout[0] + pick[0], vout[1] + pick[1])
-        if v in forced_in:
+            cout += _SCALE
+            vout += cin if cin < cout else cout
+        if forced_in >> v & 1:
             vout = _INF
-        dp_in[v], dp_out[v] = vin, vout
-    return min(dp_in[root], dp_out[root])
+        if forced_out >> v & 1:
+            vin = _INF
+        best[v] = vin, vout
+    return min(vin, vout)  # v is the root
 
 
-def _opt_cyclic_component(
-    graph: Graph, comp: list[int], forced_in: set[int]
-) -> tuple[int, int]:
-    """Pruned enumeration for a (small) component that contains a cycle."""
-    if len(comp) > 26:
-        raise InputError("crosscut enumeration limited to components of <= 26 vertices")
-    pos = {v: i for i, v in enumerate(comp)}
-    # earlier endpoints of the edges completed when index i is decided
-    newly: list[list[int]] = [[] for _ in comp]
-    for u, w in _component_edges(graph, comp):
-        first, second = sorted((u, w), key=pos.__getitem__)
-        newly[pos[second]].append(first)
-    return _cyclic_walk(graph, comp, newly, forced_in, 0, 0, 0, 0, _INF)
+def _component_opt(comp: _Component, forced_in: int, forced_out: int) -> int:
+    """Best packed (cost, size) over one component's independent sets I with
+    forced_in inside I and forced_out outside it.
+
+    With off-tree edge uw, an independent set either holds u and not w, or
+    w and not u, or neither, and then uw costs 1 more than the spanning tree
+    counts.  The three cases partition the independent sets, so the best of
+    the three forced tree runs is the component's optimum.
+    """
+    post, off = comp
+    if off is None:
+        return _tree_opt(post, forced_in, forced_out)
+    u, w = 1 << off[0], 1 << off[1]
+    return min(
+        _tree_opt(post, forced_in | u, forced_out | w),
+        _tree_opt(post, forced_in | w, forced_out | u),
+        _tree_opt(post, forced_in, forced_out | u | w) + _SCALE,
+    )
 
 
-def _cyclic_walk(
-    graph: Graph,
-    comp: list[int],
-    newly: list[list[int]],
-    forced_in: set[int],
-    idx: int,
-    chosen_mask: int,
-    size: int,
-    uncovered: int,
-    best: tuple[int, int],
-) -> tuple[int, int]:
-    """Best (cost, -size) below one node of the cyclic-component search,
-    given the best found so far."""
-    partial = size + uncovered
-    if partial > best[0]:
-        return best
-    if idx == len(comp):
-        return min(best, (partial, -size))
-    v = comp[idx]
-    rest = (graph, comp, newly, forced_in, idx + 1)
-    if v not in forced_in:
-        miss = sum(1 for u in newly[idx] if not (chosen_mask >> u) & 1)
-        best = _cyclic_walk(*rest, chosen_mask, size, uncovered + miss, best)
-    if not graph.adj[v] & chosen_mask:
-        best = _cyclic_walk(*rest, chosen_mask | (1 << v), size + 1, uncovered, best)
-    return best
-
-
-def _crosscut_opt(graph: Graph, forced_in: set[int] = frozenset()) -> tuple[int, int]:
-    """(min cost, -max |I| among minimum-cost) over independent sets."""
-    for v in forced_in:
-        if graph.adj[v] & sum(1 << u for u in forced_in if u != v):
-            return _INF
-    total = (0, 0)
-    for comp in graph.components():
-        fi = {v for v in forced_in if v in set(comp)}
-        cs = set(comp)
-        m = sum(1 for e in graph.edges if e[0] in cs)
-        if m == len(comp) - 1:
-            part = _opt_tree_component(graph, comp, fi)
-        else:
-            part = _opt_cyclic_component(graph, comp, fi)
-        if part == _INF:
-            return _INF
-        total = (total[0] + part[0], total[1] + part[1])
-    return total
-
-
-def _validate_crosscut_domain(graph: Graph) -> None:
-    for comp in graph.components():
-        cs = set(comp)
-        m = sum(1 for e in graph.edges if e[0] in cs)
-        if m > len(comp):
-            raise InputError(
-                "crosscut number is defined here for forests and components "
-                "with at most one cycle"
-            )
+def _forced_opt(plan: list[_Component], forced_in: int = 0) -> int:
+    """Least packed (cost, size) over independent sets holding forced_in;
+    at least _INF when there is none."""
+    return sum(_component_opt(comp, forced_in, 0) for comp in plan)
 
 
 def crosscut_value(graph: Graph) -> int:
     """Crosscut number of a forest (or a graph with unicyclic components)."""
-    _validate_crosscut_domain(graph)
-    return _crosscut_opt(graph)[0]
+    return _cost(_forced_opt(_dp_plan(graph)))
 
 
 @dataclass(frozen=True)
@@ -164,68 +139,64 @@ def crosscut_number(graph: Graph) -> tuple[int, CrosscutPair]:
     Ties among optimal independent sets are broken by maximum size, then by
     lexicographically smallest vertex set.
     """
-    _validate_crosscut_domain(graph)
-    opt = _crosscut_opt(graph)
-    forced: set[int] = set()
+    plan = _dp_plan(graph)
+    opt = _forced_opt(plan)
+    forced = 0
     for v in range(graph.n):
-        if _crosscut_opt(graph, forced | {v}) == opt:
-            forced.add(v)
-    independent = tuple(sorted(forced))
-    return opt[0], CrosscutPair(independent, _leftover_edges(graph, independent))
+        if _forced_opt(plan, forced | 1 << v) == opt:
+            forced |= 1 << v
+    independent = tuple(_mask_vertices(forced))
+    return _cost(opt), CrosscutPair(independent, _leftover_edges(graph, independent))
 
 
 def all_crosscut_pairs(
     graph: Graph, cap: int = PAIR_CAP
 ) -> tuple[list[CrosscutPair], bool]:
-    """All optimal crosscut pairs (capped); second value flags truncation.
-
-    Enumeration prunes on the partial cost |chosen| + #already-uncovered
-    edges, so star-like inputs do not blow up.
-    """
-    _validate_crosscut_domain(graph)
-    sigma = _crosscut_opt(graph)[0]
-    later_edges: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v in graph.edges:
-        later_edges[max(u, v)].append(min(u, v))
-    found: list[tuple[int, ...]] = []
-    overflow = _pairs_walk(graph, later_edges, sigma, cap, found, 0, 0, [], 0, 0)
+    """All optimal crosscut pairs (capped); second value flags truncation."""
+    steps: dict[int, tuple[_Component, int]] = {}
+    for comp in _dp_plan(graph):
+        best = _cost(_component_opt(comp, 0, 0))
+        for v, _ in comp[0]:
+            steps[v] = (comp, best)
+    found, overflow = _pairs_walk(steps, cap)
     pairs = [CrosscutPair(i, _leftover_edges(graph, i)) for i in found]
     pairs.sort(key=lambda p: (-len(p.independent), p.independent))
     return pairs, overflow
 
 
 def _pairs_walk(
-    graph: Graph,
-    later_edges: list[list[int]],
-    sigma: int,
-    cap: int,
-    found: list[tuple[int, ...]],
-    v: int,
-    chosen_mask: int,
-    chosen: list[int],
-    size: int,
-    uncovered: int,
-) -> bool:
-    """Append the optimal independent sets below one node to `found`, in
-    depth-first order; True once more than `cap` were met (the walk stops)."""
-    if size + uncovered > sigma:
-        return False
-    if v == graph.n:
-        if size + uncovered == sigma:
+    steps: dict[int, tuple[_Component, int]], cap: int
+) -> tuple[list[tuple[int, ...]], bool]:
+    """The optimal independent sets in depth-first order, at most `cap` of
+    them, and whether there were more.  steps[v] is v's component and that
+    component's least cost.
+
+    Vertices are decided in id order, out before in.  The cost is a sum over
+    components, each at least its own least cost, so a set is optimal
+    exactly when every component's part is.  A branch is entered only when
+    v's component can still reach its least cost, so every branch entered
+    holds an optimal set, and when the out branch holds none the in branch
+    must.  The leaves reached are therefore those of the walk over all
+    independent sets that cost sigma, met in the same order, and the first
+    `cap` kept on overflow are the same.
+    """
+    found: list[tuple[int, ...]] = []
+    stack = [(0, 0, 0)]  # (next vertex, forced in, forced out)
+    while stack:
+        v, forced_in, forced_out = stack.pop()
+        if v == len(steps):
             if len(found) >= cap:
-                return True
-            found.append(tuple(chosen))
-        return False
-    rest = (graph, later_edges, sigma, cap, found, v + 1)
-    miss = sum(1 for u in later_edges[v] if not (chosen_mask >> u) & 1)
-    if _pairs_walk(*rest, chosen_mask, chosen, size, uncovered + miss):
-        return True
-    if graph.adj[v] & chosen_mask:
-        return False
-    chosen.append(v)
-    overflow = _pairs_walk(*rest, chosen_mask | (1 << v), chosen, size + 1, uncovered)
-    chosen.pop()
-    return overflow
+                return found, True
+            found.append(tuple(_mask_vertices(forced_in)))
+            continue
+        comp, best = steps[v]
+        bit = 1 << v
+        out = _cost(_component_opt(comp, forced_in, forced_out | bit)) == best
+        if not out or _cost(_component_opt(comp, forced_in | bit, forced_out)) == best:
+            stack.append((v + 1, forced_in | bit, forced_out))
+        if out:  # popped first
+            stack.append((v + 1, forced_in, forced_out | bit))
+    return found, False
 
 
 # ---------------------------------------------------------------------------
@@ -233,32 +204,41 @@ def _pairs_walk(
 
 
 def covering_number(graph: Graph) -> int:
-    """Exact minimum vertex cover size (branch on a maximum-degree vertex)."""
+    """Exact minimum vertex cover size (take the neighbour of a leaf, else
+    branch on a maximum-degree vertex)."""
     return _cover(graph.adj, (1 << graph.n) - 1)
 
 
 def _cover(adj: tuple[int, ...], alive: int) -> int:
-    """Minimum vertex cover of the subgraph induced by the `alive` mask."""
-    best_v, best_d = -1, 0
-    m = alive
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        d = (adj[v] & alive).bit_count()
-        if d > best_d:
-            best_d, best_v = d, v
+    """Minimum vertex cover of the subgraph induced by the `alive` mask.
+
+    A cover holds a leaf or its neighbour, and swapping the leaf for the
+    neighbour keeps it a cover, so some minimum cover holds the neighbour:
+    those are taken without branching.
+    """
+    taken = 0
+    while True:
+        best_v, best_d, leaf = -1, 0, -1
+        m = alive
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (adj[v] & alive).bit_count()
+            if d > best_d:
+                best_d, best_v = d, v
+            if d == 1:
+                leaf = v
+        if leaf < 0:
+            break
+        taken += 1
+        alive &= ~adj[leaf] & ~(1 << leaf)
     if best_d == 0:
-        return 0
-    if best_d == 1:
-        deg1 = sum(
-            1 for v in _mask_vertices(alive) if (adj[v] & alive).bit_count() == 1
-        )
-        return deg1 // 2
+        return taken
     v = best_v
     with_v = 1 + _cover(adj, alive & ~(1 << v))
     nbrs = adj[v] & alive
     without_v = nbrs.bit_count() + _cover(adj, alive & ~nbrs & ~(1 << v))
-    return min(with_v, without_v)
+    return taken + min(with_v, without_v)
 
 
 def independent_covering_number(graph: Graph) -> int | None:
@@ -271,31 +251,18 @@ def independent_covering_number(graph: Graph) -> int | None:
     classes = graph.bipartition()
     if classes is None:
         return None
-    total = 0
-    for comp in graph.components():
-        if len(comp) > 1:  # a component with edges
-            a = sum(1 for v in comp if v in classes[0])
-            total += min(a, len(comp) - a)
-    return total
+    return sum(
+        min(len(comp & classes[0]), len(comp - classes[0]))
+        for comp in map(set, graph.components())
+    )
 
 
 def minimum_independent_covers(tree: Graph) -> list[tuple[int, ...]]:
     """All minimum independent vertex covers of a tree (its smaller
     2-coloring class, or both classes on a tie), sorted."""
     _require_tree(tree)
-    if not tree.edges:
-        return [()]
-    classes = tree.bipartition()
-    assert classes is not None
-    a = tuple(sorted(classes[0]))
-    b = tuple(sorted(classes[1]))
-    if len(a) < len(b):
-        covers = [a]
-    elif len(b) < len(a):
-        covers = [b]
-    else:
-        covers = sorted([a, b])
-    return covers
+    a, b = (tuple(sorted(c)) for c in tree.bipartition())
+    return sorted(c for c in (a, b) if len(c) == min(len(a), len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +325,6 @@ def analyze_tree(tree: Graph) -> TreeProfile:
     tau_ind = independent_covering_number(tree)
     pairs, truncated = all_crosscut_pairs(tree)
     crit = critical_edges(tree)
-    strongly = tau == sigma and tau_ind == sigma and bool(crit)
     return TreeProfile(
         tree=tree,
         sigma=sigma,
@@ -367,7 +333,7 @@ def analyze_tree(tree: Graph) -> TreeProfile:
         crosscut_pairs=tuple(pairs),
         pairs_truncated=truncated,
         critical_edges=crit,
-        strongly_edge_critical=strongly,
+        strongly_edge_critical=tau == sigma == tau_ind and bool(crit),
         sigma_equals_tau_ind=sigma == tau_ind,
     )
 
@@ -407,31 +373,22 @@ def decomposition_witness(tree: Graph, pair: CrosscutPair) -> CrosscutWitness:
     if len(iset) != len(pair.independent):
         raise InputError("independent part has repeated vertices")
     for v in iset:
-        if graph_adj_overlap(tree, v, iset):
+        if tree.adj[v] & sum(1 << u for u in iset if u != v):
             raise InputError("independent part is not independent")
-    if set(pair.leftover) != set(_leftover_edges(tree, tuple(sorted(iset)))) or len(
-        pair.leftover
-    ) != len(set(pair.leftover)):
+    independent, leftover = tuple(sorted(iset)), tuple(pair.leftover)
+    expected = set(_leftover_edges(tree, independent))
+    if set(leftover) != expected or len(leftover) != len(expected):
         raise InputError("leftover edges do not match the independent part")
-    sigma = crosscut_value(tree)
-    if len(pair.independent) + len(pair.leftover) != sigma:
+    if len(independent) + len(leftover) != crosscut_value(tree):
         raise InputError("pair is not optimal for this tree")
-    for v in sorted(iset):
+    for v in independent:
         non_leaf = sum(1 for w in tree.neighbors(v) if tree.degree(w) > 1)
         if non_leaf <= 1:
-            return CrosscutWitness(
-                tuple(sorted(iset)), tuple(pair.leftover), LeafNeighborVertex(v)
-            )
-    for e in pair.leftover:
+            return CrosscutWitness(independent, leftover, LeafNeighborVertex(v))
+    for e in leftover:
         if min(tree.degree(e[0]), tree.degree(e[1])) == 1:
-            return CrosscutWitness(
-                tuple(sorted(iset)), tuple(pair.leftover), PendantEdge(e)
-            )
+            return CrosscutWitness(independent, leftover, PendantEdge(e))
     raise AssertionError("every optimal crosscut pair carries a witness")
-
-
-def graph_adj_overlap(graph: Graph, v: int, vs: set[int]) -> bool:
-    return bool(graph.adj[v] & sum(1 << u for u in vs if u != v))
 
 
 def pendant_critical_edge(tree: Graph) -> tuple[Pair, tuple[int, ...]] | None:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from crosscut.structures import Graph, TripleSystem
+from crosscut.errors import InputError
+from crosscut.structures import Graph, Pair, TripleSystem, _mask_vertices
+from crosscut.trees import PAIR_CAP, CrosscutPair
 
 
 def contains_expansion_naive(host: TripleSystem, pattern: Graph) -> bool:
@@ -441,3 +443,211 @@ def levelwise_max_reference(
                     witnesses.add(key)
         level = nxt
     return best, sorted(witnesses), budget.nodes
+
+
+# ---------------------------------------------------------------------------
+# reference crosscut searches: the earlier implementations of
+# crosscut.trees (subtree DP on tree components, pruned enumeration on
+# components with a cycle, a walk pruned only by partial cost), kept
+# verbatim so that the single forced-set DP can be checked byte for byte
+
+_INF = (1 << 30, 0)
+
+
+def _component_edges_reference(graph: Graph, comp: list[int]) -> list[Pair]:
+    cs = set(comp)
+    return [e for e in graph.edges if e[0] in cs]
+
+
+def _opt_tree_component_reference(
+    graph: Graph, comp: list[int], forced_in: set[int]
+) -> tuple[int, int]:
+    """Best (cost, -size) over independent sets of one tree component."""
+    root = comp[0]
+    parent = {root: -1}
+    order = [root]
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in _mask_vertices(graph.adj[v]):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+                stack.append(w)
+    dp_in: dict[int, tuple[int, int]] = {}
+    dp_out: dict[int, tuple[int, int]] = {}
+    for v in reversed(order):
+        children = [w for w in _mask_vertices(graph.adj[v]) if parent.get(w) == v]
+        vin = (1, -1)
+        vout = (0, 0)
+        for c in children:
+            cin, cout = dp_in[c], dp_out[c]
+            vin = (vin[0] + cout[0], vin[1] + cout[1])
+            # edge (v, c) is uncovered only when both endpoints stay out
+            pick = min(cin, (cout[0] + 1, cout[1]))
+            vout = (vout[0] + pick[0], vout[1] + pick[1])
+        if v in forced_in:
+            vout = _INF
+        dp_in[v], dp_out[v] = vin, vout
+    return min(dp_in[root], dp_out[root])
+
+
+def _opt_cyclic_component_reference(
+    graph: Graph, comp: list[int], forced_in: set[int]
+) -> tuple[int, int]:
+    """Pruned enumeration for a (small) component that contains a cycle."""
+    if len(comp) > 26:
+        raise InputError("crosscut enumeration limited to components of <= 26 vertices")
+    pos = {v: i for i, v in enumerate(comp)}
+    # earlier endpoints of the edges completed when index i is decided
+    newly: list[list[int]] = [[] for _ in comp]
+    for u, w in _component_edges_reference(graph, comp):
+        first, second = sorted((u, w), key=pos.__getitem__)
+        newly[pos[second]].append(first)
+    return _cyclic_walk_reference(graph, comp, newly, forced_in, 0, 0, 0, 0, _INF)
+
+
+def _cyclic_walk_reference(
+    graph: Graph,
+    comp: list[int],
+    newly: list[list[int]],
+    forced_in: set[int],
+    idx: int,
+    chosen_mask: int,
+    size: int,
+    uncovered: int,
+    best: tuple[int, int],
+) -> tuple[int, int]:
+    """Best (cost, -size) below one node of the cyclic-component search,
+    given the best found so far."""
+    partial = size + uncovered
+    if partial > best[0]:
+        return best
+    if idx == len(comp):
+        return min(best, (partial, -size))
+    v = comp[idx]
+    rest = (graph, comp, newly, forced_in, idx + 1)
+    if v not in forced_in:
+        miss = sum(1 for u in newly[idx] if not (chosen_mask >> u) & 1)
+        best = _cyclic_walk_reference(*rest, chosen_mask, size, uncovered + miss, best)
+    if not graph.adj[v] & chosen_mask:
+        best = _cyclic_walk_reference(*rest, chosen_mask | (1 << v), size + 1, uncovered, best)
+    return best
+
+
+def _crosscut_opt_reference(graph: Graph, forced_in: set[int] = frozenset()) -> tuple[int, int]:
+    """(min cost, -max |I| among minimum-cost) over independent sets."""
+    for v in forced_in:
+        if graph.adj[v] & sum(1 << u for u in forced_in if u != v):
+            return _INF
+    total = (0, 0)
+    for comp in graph.components():
+        fi = {v for v in forced_in if v in set(comp)}
+        cs = set(comp)
+        m = sum(1 for e in graph.edges if e[0] in cs)
+        if m == len(comp) - 1:
+            part = _opt_tree_component_reference(graph, comp, fi)
+        else:
+            part = _opt_cyclic_component_reference(graph, comp, fi)
+        if part == _INF:
+            return _INF
+        total = (total[0] + part[0], total[1] + part[1])
+    return total
+
+
+def _validate_crosscut_domain_reference(graph: Graph) -> None:
+    for comp in graph.components():
+        cs = set(comp)
+        m = sum(1 for e in graph.edges if e[0] in cs)
+        if m > len(comp):
+            raise InputError(
+                "crosscut number is defined here for forests and components "
+                "with at most one cycle"
+            )
+
+
+def _leftover_edges_reference(graph: Graph, independent: tuple[int, ...]) -> tuple[Pair, ...]:
+    iset = set(independent)
+    return tuple(
+        e for e in sorted(graph.edges) if e[0] not in iset and e[1] not in iset
+    )
+
+
+def crosscut_number_reference(graph: Graph) -> tuple[int, CrosscutPair]:
+    """Exact crosscut number plus one optimal pair.
+
+    Ties among optimal independent sets are broken by maximum size, then by
+    lexicographically smallest vertex set.
+    """
+    _validate_crosscut_domain_reference(graph)
+    opt = _crosscut_opt_reference(graph)
+    forced: set[int] = set()
+    for v in range(graph.n):
+        if _crosscut_opt_reference(graph, forced | {v}) == opt:
+            forced.add(v)
+    independent = tuple(sorted(forced))
+    return opt[0], CrosscutPair(independent, _leftover_edges_reference(graph, independent))
+
+
+def all_crosscut_pairs_reference(
+    graph: Graph, cap: int = PAIR_CAP
+) -> tuple[list[CrosscutPair], bool]:
+    """All optimal crosscut pairs (capped); second value flags truncation.
+
+    Enumeration prunes on the partial cost |chosen| + #already-uncovered
+    edges, so star-like inputs do not blow up.
+    """
+    _validate_crosscut_domain_reference(graph)
+    sigma = _crosscut_opt_reference(graph)[0]
+    later_edges: list[list[int]] = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        later_edges[max(u, v)].append(min(u, v))
+    found: list[tuple[int, ...]] = []
+    overflow = _pairs_walk_reference(graph, later_edges, sigma, cap, found, 0, 0, [], 0, 0)
+    pairs = [CrosscutPair(i, _leftover_edges_reference(graph, i)) for i in found]
+    pairs.sort(key=lambda p: (-len(p.independent), p.independent))
+    return pairs, overflow
+
+
+def _pairs_walk_reference(
+    graph: Graph,
+    later_edges: list[list[int]],
+    sigma: int,
+    cap: int,
+    found: list[tuple[int, ...]],
+    v: int,
+    chosen_mask: int,
+    chosen: list[int],
+    size: int,
+    uncovered: int,
+) -> bool:
+    """Append the optimal independent sets below one node to `found`, in
+    depth-first order; True once more than `cap` were met (the walk stops)."""
+    if size + uncovered > sigma:
+        return False
+    if v == graph.n:
+        if size + uncovered == sigma:
+            if len(found) >= cap:
+                return True
+            found.append(tuple(chosen))
+        return False
+    rest = (graph, later_edges, sigma, cap, found, v + 1)
+    miss = sum(1 for u in later_edges[v] if not (chosen_mask >> u) & 1)
+    if _pairs_walk_reference(*rest, chosen_mask, chosen, size, uncovered + miss):
+        return True
+    if graph.adj[v] & chosen_mask:
+        return False
+    chosen.append(v)
+    overflow = _pairs_walk_reference(*rest, chosen_mask | (1 << v), chosen, size + 1, uncovered)
+    chosen.pop()
+    return overflow
+
+
+def crosscut_reference(
+    graph: Graph, cap: int
+) -> tuple[int, CrosscutPair, list[CrosscutPair], bool]:
+    """(sigma, canonical pair, capped optimal pairs, truncation flag) as the
+    reference searches compute them."""
+    sigma, pair = crosscut_number_reference(graph)
+    pairs, truncated = all_crosscut_pairs_reference(graph, cap)
+    return sigma, pair, pairs, truncated

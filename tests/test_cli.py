@@ -35,6 +35,14 @@ def test_tree_stats(files, capsys):
     assert data["strongly_edge_critical"] is True
 
 
+def test_tree_stats_on_a_long_path(files, capsys):
+    # the covering number takes a leaf's neighbour, so this path finishes
+    save_structure(path_graph(60), files / "p60.edges")
+    assert main(["tree", "stats", str(files / "p60.edges")]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["sigma"], data["tau"], data["tau_ind"]) == (30, 30, 30)
+
+
 def test_tree_enum(files, capsys):
     assert main(["tree", "enum", "--n", "5", "--out", str(files / "trees")]) == 0
     written = sorted((files / "trees").glob("*.edges"))

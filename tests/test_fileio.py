@@ -51,6 +51,16 @@ class TestEdgeText:
         with pytest.raises(InputError, match=r"^g.edges:6: duplicate edge"):
             loads_edge_text("kind=graph n=3\n0 1\n\n\n# c\n1 0\n", "g.edges")
 
+    def test_out_of_range_ids_give_file_and_line(self):
+        with pytest.raises(InputError, match=r"^g.edges:4: vertex 3 out of range for n=3$"):
+            loads_edge_text("kind=graph n=3\n\n# c\n0 3\n", "g.edges")
+        with pytest.raises(InputError, match=r"^h.edges:3: vertex -1 out of range for n=4$"):
+            loads_edge_text("kind=3graph n=4\n0 1 2\n-1 1 2\n", "h.edges")
+
+    def test_negative_vertex_count_gives_file(self):
+        with pytest.raises(InputError, match=r"^g.edges: vertex count must be nonnegative$"):
+            loads_edge_text("kind=graph n=-2\n", "g.edges")
+
 
 class TestEdgeJson:
     def test_round_trip(self):
@@ -105,6 +115,14 @@ class TestEdgeJson:
             loads_coloring(f"n={n}\n0 1 2 0\n")
         assert loads_edge_text("kind=graph n=1000000\n0 1\n").n == 10**6
 
+    def test_out_of_range_ids_and_negative_counts_give_file(self):
+        with pytest.raises(InputError, match=r"^g.json: edge \[0, -1\]: vertex -1 out of range"):
+            loads_edge_json('{"kind":"graph","n":3,"edges":[[0,1],[0,-1]]}', "g.json")
+        with pytest.raises(InputError, match=r"^g.json: edge \[0, 1, 5\]: vertex 5 out of range"):
+            loads_edge_json('{"kind":"3graph","n":5,"edges":[[0,1,5]]}', "g.json")
+        with pytest.raises(InputError, match=r"^g.json: vertex count must be nonnegative$"):
+            loads_edge_json('{"kind":"graph","n":-2,"edges":[]}', "g.json")
+
     def test_load_structure_sniffs_format(self, tmp_path):
         p1 = tmp_path / "a.edges"
         p1.write_text(dumps_edge_text(path_graph(2)))
@@ -130,6 +148,10 @@ class TestColoringFormat:
         assert loads_coloring(text).color_count == 1
         with pytest.raises(InputError):
             loads_coloring(text + "\n0 1 2 1\n")
+
+    def test_negative_vertex_count_gives_file(self):
+        with pytest.raises(InputError, match=r"^c.txt: vertex count must be nonnegative$"):
+            loads_coloring("n=-1\n", "c.txt")
 
     def test_messages_give_physical_line_numbers(self):
         text = "# a coloring\nn=4\n\n0 1 2 0\n# next\n0 2 1 1\n"

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from crosscut.errors import InputError
-from crosscut.structures import Graph
+from crosscut.structures import Graph, sorted_pair
 from crosscut.trees import (
     LeafNeighborVertex,
     PendantEdge,
@@ -26,7 +28,9 @@ from crosscut.trees import (
 
 from oracles import (
     ahu_code_naive,
+    all_crosscut_pairs_reference,
     canonical_key_naive,
+    crosscut_reference,
     sigma_naive,
     tau_ind_naive,
     tau_naive,
@@ -92,6 +96,110 @@ class TestCrosscut:
         assert truncated and len(pairs) == 2
 
 
+def _random_component(rng: random.Random, size: int) -> set:
+    """A random tree on 0..size-1, a cycle through all of it, or a tree with
+    one or two chords (unicyclic, or mostly two cycles)."""
+    shape = rng.random()
+    if shape < 0.15 and size >= 3:
+        return {sorted_pair(j, (j + 1) % size) for j in range(size)}
+    edges = {sorted_pair(rng.randrange(j), j) for j in range(1, size)}
+    chords = 0 if shape < 0.5 else 1 if shape < 0.85 else 2
+    non_edges = [
+        e for e in itertools.combinations(range(size), 2) if e not in edges
+    ]
+    return edges | set(rng.sample(non_edges, min(chords, len(non_edges))))
+
+
+def _crosscut_corpus(rng: random.Random, count: int):
+    """Relabelled random graphs on at most 13 vertices whose components come
+    from `_random_component`, with isolated vertices in between."""
+    for _ in range(count):
+        edges, n = [], 0
+        target = rng.randint(1, 12)
+        while n < target:
+            size = rng.randint(1, min(8, target - n + 1))
+            edges += [(n + a, n + b) for a, b in _random_component(rng, size)]
+            n += size + (rng.random() < 0.2)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def _pairs_digest(pairs) -> str:
+    rows = [[list(p.independent), [list(e) for e in p.leftover]] for p in pairs]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+class TestCrosscutAgainstReference:
+    """The forced-set DP against the earlier searches kept in
+    tests/oracles.py: subtree DP plus cyclic enumeration, and the walk
+    pruned only by partial cost."""
+
+    CAPS = (300, 20, 5, 3, 2, 1)
+
+    def test_random_graphs_every_cap(self):
+        rng = random.Random(9)
+        shapes = {"ok": 0, "error": 0, "cyclic": 0, "truncated": 0}
+        for graph in _crosscut_corpus(rng, 3000):
+            full = _outcome(crosscut_reference, graph, 300)
+            if full[0] == "InputError":
+                shapes["error"] += 1
+                assert _outcome(crosscut_value, graph) == full
+                assert _outcome(crosscut_number, graph) == full
+                assert _outcome(all_crosscut_pairs, graph, 1) == full
+                continue
+            shapes["ok"] += 1
+            shapes["cyclic"] += len(graph.edges) > graph.n - len(graph.components())
+            if graph.n <= 12:
+                assert full[0] == sigma_naive(graph)
+            assert crosscut_value(graph) == full[0]
+            assert crosscut_number(graph) == full[:2]
+            for cap in self.CAPS:
+                # a reference run that met at most `cap` optima is the same
+                # at this cap, so only the others are rerun
+                if full[3] or len(full[2]) > cap:
+                    expected = all_crosscut_pairs_reference(graph, cap)
+                    shapes["truncated"] += expected[1]
+                else:
+                    expected = full[2], full[3]
+                got = all_crosscut_pairs(graph, cap)
+                assert got == expected, (graph.n, sorted(graph.edges), cap)
+        # the corpus reaches every case it is meant to
+        assert min(shapes.values()) >= 100, shapes
+
+    def test_values_beyond_the_old_enumeration_limit(self):
+        assert crosscut_value(cycle_graph(40)) == 20
+        # the sun on C_15: every pendant edge costs at least 1, and all 15 at
+        # exactly 1 would need an independent cover of the odd cycle, so
+        # sigma >= 16; alternate cycle vertices plus the other leaves give 16
+        sun = Graph(30, list(cycle_graph(15).edges) + [(i, 15 + i) for i in range(15)])
+        assert crosscut_value(sun) == 16
+        sigma, pair = crosscut_number(sun)
+        assert sigma == len(pair.independent) + len(pair.leftover) == 16
+
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # one edge among 1,500 vertices: {0}, {1} and the empty set cost 1
+        pairs, truncated = all_crosscut_pairs(Graph(1500, [(0, 1)]))
+        assert [p.independent for p in pairs] == [(0,), (1,), ()]
+        assert not truncated
+
+    def test_fifty_vertex_tree_pairs(self):
+        # pinned from the reference walk, too slow to rerun in the suite
+        rng = random.Random(1)
+        tree = Graph(50, [(rng.randrange(j), j) for j in range(1, 50)])
+        pairs, truncated = all_crosscut_pairs(tree)
+        assert not truncated and len(pairs) == 128
+        assert _pairs_digest(pairs) == "001ca06a59e4bbc6"
+        assert all(len(p.independent) + len(p.leftover) == 20 for p in pairs)
+
+
 class TestCoveringNumbers:
     def test_tau_examples(self):
         assert covering_number(path_graph(4)) == 2
@@ -112,6 +220,21 @@ class TestCoveringNumbers:
         assert independent_covering_number(cycle_graph(6)) == tau_ind_naive(
             cycle_graph(6)
         )
+
+    def test_against_naive_on_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randint(0, 11)
+            p = rng.choice([0.15, 0.3, 0.5, 0.8])
+            graph = Graph(
+                n,
+                [e for e in itertools.combinations(range(n), 2) if rng.random() < p],
+            )
+            assert covering_number(graph) == tau_naive(graph)
+
+    def test_long_path(self):
+        # a leaf's neighbour is taken outright, so paths need no branching
+        assert covering_number(path_graph(200)) == 100
 
     def test_tau_ind_on_several_components(self):
         # disjoint trees, even and odd cycles and isolated vertices
