@@ -14,6 +14,7 @@ leaf; partial-copy completion uses the same matcher.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, replace
@@ -265,6 +266,31 @@ def _embedding_order(pattern: Graph) -> list[int]:
     return order
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(pattern: Graph) -> tuple:
+    """find_expansion's pattern-only set-up, built once per pattern (a
+    Graph is immutable and hashed by value): each vertex's depth in
+    `_embedding_order`, back[i] the depths of the placed neighbours of the
+    vertex at depth i (the edge to each is completed at depth i and gets
+    slot first_slot[i] + j), the sorted pattern edges and their slots."""
+    order = _embedding_order(pattern)
+    pos = [0] * pattern.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    back = [
+        tuple(sorted([pos[w] for w in pattern.neighbors(u) if pos[w] < i]))
+        for i, u in enumerate(order)
+    ]
+    first_slot = list(itertools.accumulate([len(b) for b in back], initial=0))
+    pat_edges = pattern.edge_list()
+    edge_slot = []
+    for a, b in pat_edges:
+        i, d = max(pos[a], pos[b]), min(pos[a], pos[b])
+        edge_slot.append(first_slot[i] + back[i].index(d))
+    # tuples: the plan is shared by every search with this pattern
+    return tuple(pos), tuple(back), tuple(first_slot), tuple(pat_edges), tuple(edge_slot)
+
+
 def find_expansion(
     host: TripleSystem,
     pattern: Graph,
@@ -295,21 +321,7 @@ def find_expansion(
     for a, b in pair_nbr:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    order = _embedding_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    # back[i]: depths of the placed neighbours of order[i]; the edge to each
-    # is completed at depth i and gets slot first_slot[i] + j
-    back = [
-        sorted(pos[w] for w in pattern.neighbors(u) if pos[w] < i)
-        for i, u in enumerate(order)
-    ]
-    first_slot = list(itertools.accumulate((len(b) for b in back), initial=0))
-    pat_edges = pattern.edge_list()
-    edge_slot = []
-    for a, b in pat_edges:
-        i, d = max(pos[a], pos[b]), min(pos[a], pos[b])
-        edge_slot.append(first_slot[i] + back[i].index(d))
-
+    pos, back, first_slot, pat_edges, edge_slot = _plan(pattern)
     last = pattern.n - 1
     full = (1 << host.n) - 1
     hs = [0] * pattern.n  # host image of order[i]
@@ -368,7 +380,7 @@ def find_expansion(
             # CPython's tuple free lists until a full collection
             return Embedding(
                 pattern=pattern,
-                core_map=tuple([hs[pos[v]] for v in range(pattern.n)]),
+                core_map=tuple([hs[i] for i in pos]),
                 expansion_map=tuple(list(zip(pat_edges, assign))),
                 host_kind="3graph",
             )

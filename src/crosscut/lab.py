@@ -44,7 +44,7 @@ from .structures import (
     TriangleClass,
     EmptyClass,
 )
-from .symmetry import canonical_edge_key
+from .symmetry import canonical_edge_key, twin_ids
 from .trees import (
     analyze_tree,
     crosscut_value,
@@ -125,6 +125,16 @@ def _levelwise_max(
     addable list, and with it every child, key and count, is the one a
     test of every item would give.  Siblings share one list.
 
+    Items are tested once per orbit of current's twin symmetry.  Twinship
+    is an equivalence, so the twin transpositions generate the symmetric
+    group on each twin class; two items with the same signature, the
+    sorted twin ids of their vertices, are therefore mapped onto each other
+    by an automorphism s of current.  So current | {it} and
+    current | {s(it)} are isomorphic: the same freeness verdict and the
+    same key.  is_free runs once per signature, and only the first addable
+    item of a signature is keyed, as a later one would have met its key
+    in nxt and been skipped.
+
     Returns (best objective, canonical witness keys, node count).
     """
     empty: frozenset = frozenset()
@@ -140,12 +150,23 @@ def _levelwise_max(
         nxt: dict[tuple, tuple[frozenset, list]] = {}
         for current, candidates in level.values():
             budget.tick()
-            addable = [
-                it for it in candidates if it not in current and is_free(current | {it})
-            ]
+            twin = twin_ids(n, current)
+            verdicts: dict[tuple, bool] = {}
+            addable = []
+            firsts = []  # the first addable item of each signature
+            for it in candidates:
+                if it not in current:
+                    sig = tuple(sorted([twin[v] for v in it]))
+                    free = verdicts.get(sig)
+                    if free is None:
+                        free = verdicts[sig] = is_free(current | {it})
+                        if free:
+                            firsts.append(it)
+                    if free:
+                        addable.append(it)
             if objective(current.union(addable)) < best:
                 continue
-            for it in addable:
+            for it in firsts:
                 grown = current | {it}
                 key = canonical_edge_key(n, grown)
                 if key in nxt:

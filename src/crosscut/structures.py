@@ -34,13 +34,12 @@ def _is_int(x: object) -> bool:
 
 
 def _mask_vertices(mask: int) -> list[int]:
+    """The set bits of mask in ascending order, one step per set bit."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -1,5 +1,5 @@
 """Vertex symmetry of graphs and 3-graphs: refinement classes, twin groups,
-and the canonical edge key built from them.
+and the twin ids and canonical edge key built from them.
 
 The key serves lab's orderly generation and result cache (lab re-exports
 it).  The module imports nothing from the package, so the search modules
@@ -77,6 +77,41 @@ def _twin_groups(cls: list[int], partners: list[list], triples: bool) -> list[li
     return groups
 
 
+def _partners(n: int, items: list[tuple[int, ...]]) -> tuple[bool, list[list]]:
+    """Whether the sorted edges are triples, and each vertex's co-edge
+    partners: the other vertex of a pair, or the other two of a triple."""
+    triples = bool(items) and len(items[0]) == 3
+    partners: list[list] = [[] for _ in range(n)]
+    for e in items:
+        if triples:
+            a, b, c = e
+            partners[a].append((b, c))
+            partners[b].append((a, c))
+            partners[c].append((a, b))
+        else:
+            a, b = e
+            partners[a].append(b)
+            partners[b].append(a)
+    return triples, partners
+
+
+def twin_ids(n: int, edges) -> list[int]:
+    """Each vertex's twin-class index: u and w share one iff the
+    transposition (u w) maps the edge set onto itself.  Vertices outside
+    every edge are twins of each other.  Twins share a refinement class, so
+    the classes are the twin groups of the refinement classes, numbered in
+    class order."""
+    triples, partners = _partners(n, [tuple(sorted(e)) for e in edges])
+    ids = [0] * n
+    count = 0
+    for cls in _refined_classes(n, partners, triples):
+        for group in _twin_groups(cls, partners, triples) if len(cls) > 1 else [cls]:
+            for v in group:
+                ids[v] = count
+            count += 1
+    return ids
+
+
 def _arrangements(groups: list[list[int]], offset: int) -> list[list[tuple[int, int]]]:
     """One (vertex, label) assignment of the block offset, offset+1, ...
     per distinct arrangement of the twin groups over it: the multiset
@@ -120,18 +155,7 @@ def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
     items = sorted([tuple(sorted(e)) for e in edges])
     if not items:
         return ()
-    triples = len(items[0]) == 3  # else a graph
-    partners: list[list] = [[] for _ in range(n)]
-    for e in items:
-        if triples:
-            a, b, c = e
-            partners[a].append((b, c))
-            partners[b].append((a, c))
-            partners[c].append((a, b))
-        else:
-            a, b = e
-            partners[a].append(b)
-            partners[b].append(a)
+    triples, partners = _partners(n, items)
     relabel = [0] * n
     choices = []  # arrangement lists of the classes with several twin groups
     offset = 0

@@ -373,6 +373,8 @@ def decomposition_witness(tree: Graph, pair: CrosscutPair) -> CrosscutWitness:
     if len(iset) != len(pair.independent):
         raise InputError("independent part has repeated vertices")
     for v in iset:
+        if not 0 <= v < tree.n:
+            raise InputError(f"vertex {v} out of range for n={tree.n}")
         if tree.adj[v] & sum(1 << u for u in iset if u != v):
             raise InputError("independent part is not independent")
     independent, leftover = tuple(sorted(iset)), tuple(pair.leftover)

@@ -400,6 +400,18 @@ def canonical_edge_key_reference(n: int, edges: frozenset[tuple[int, ...]]) -> t
     return best
 
 
+def twin_ids_reference(n: int, edges) -> list[int]:
+    """Each vertex's least twin: u and w are twins iff the transposition
+    (u w) leaves the edge set unchanged."""
+    edge_set = {frozenset(e) for e in edges}
+
+    def swap_fixes(u: int, w: int) -> bool:
+        swap = {u: w, w: u}
+        return {frozenset(swap.get(x, x) for x in e) for e in edge_set} == edge_set
+
+    return [next(u for u in range(n) if swap_fixes(u, v)) for v in range(n)]
+
+
 def levelwise_max_reference(
     n: int,
     all_items: list[tuple[int, ...]],

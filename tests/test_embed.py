@@ -20,6 +20,7 @@ from crosscut.embed import (
     _augment,
     _lex_least,
     _lex_least_sdr,
+    _plan,
     complete_partial_expansion,
     embed_tree_two_sets,
     find_blowup,
@@ -164,6 +165,38 @@ class TestFindExpansion:
             31, 26, 9, 824, 6, 6, 5, 2167, 20, 66, 8, 369,
         ]
         assert missing == [0, 1, 15, 23, 27]
+
+    def test_cached_plans_give_the_certificates_of_fresh_ones(self):
+        # plans are cached by pattern value: an equal pattern built apart
+        # reuses one, a relabelled pattern gets its own
+        rng = random.Random(41)
+        hosts = [s_construction(9, 2), complete_3graph(8)]
+        hosts += [
+            random_triple_system(rng, rng.randint(7, 11), rng.uniform(0.1, 0.5))
+            for _ in range(6)
+        ]
+        patterns = []
+        for pat in PATTERNS:
+            perm = list(range(pat.n))
+            rng.shuffle(perm)
+            patterns.append(pat)
+            patterns.append(Graph(pat.n, pat.edge_list()))
+            patterns.append(Graph(pat.n, [(perm[a], perm[b]) for a, b in pat.edges]))
+
+        def search(host, pat):
+            budget = SearchBudget()
+            emb = find_expansion(host, pat, True, budget)
+            return None if emb is None else emb.to_json(), budget.nodes
+
+        _plan.cache_clear()
+        warm = [search(host, pat) for host in hosts for pat in patterns]
+        assert _plan.cache_info().hits > 0
+        cold = []
+        for host in hosts:
+            for pat in patterns:
+                _plan.cache_clear()
+                cold.append(search(host, pat))
+        assert warm == cold
 
 
 class TestCompletionMatcher:

@@ -25,6 +25,7 @@ from crosscut.lab import (
     verify_theorem_suite,
 )
 from crosscut.structures import Graph, TripleSystem
+from crosscut.symmetry import twin_ids
 from crosscut.trees import complete_graph, cycle_graph, path_graph, star_graph
 
 from conftest import random_graph
@@ -35,6 +36,7 @@ from oracles import (
     levelwise_max_reference,
     maxcut_naive,
     turan_hypergraph_naive,
+    twin_ids_reference,
 )
 
 EXPECTED_FILE = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
@@ -106,6 +108,59 @@ class TestCanonicalKeyMatchesReference:
         # every leaf is a twin of every other, so one arrangement is tried
         for k in range(1, 11):
             assert canonical_graph_key(star_graph(k)) == (k + 1, tuple((i, k) for i in range(k)))
+
+
+def test_twin_ids_match_the_transposition_oracle():
+    rng = random.Random(1618)
+    systems = [(n, []) for n in range(9)]
+    systems += [(g.n, g.edges) for g in (star_graph(5), complete_graph(6), cycle_graph(6))]
+    systems += [(s.n, s.edges) for s in (s_construction(8, 2), s_graph(8, 3))]
+    for i in range(1200):
+        n = rng.randint(1, 8)
+        arity = 2 if i % 2 else 3
+        density = rng.choice([0.05, 0.2, 0.5, 0.8, 0.95])
+        # every third system leaves up to two top vertices isolated
+        span = n - rng.randint(0, 2) if i % 3 == 0 else n
+        edges = [e for e in itertools.combinations(range(span), arity) if rng.random() < density]
+        systems.append((n, edges))
+    for n, edges in systems:
+        ids = twin_ids(n, edges)
+        least = [min(u for u in range(n) if ids[u] == ids[v]) for v in range(n)]
+        assert least == twin_ids_reference(n, edges), (n, sorted(edges))
+
+
+TURAN_WORKLOAD = [
+    (exact_turan_hypergraph, 6, path_graph(2)),
+    (exact_turan_hypergraph, 7, path_graph(2)),
+    (exact_turan_hypergraph, 6, cycle_graph(3)),
+    (exact_generalized_turan, 6, path_graph(2)),
+    (exact_generalized_turan, 6, cycle_graph(3)),
+]
+
+
+def test_turan_work_counts_are_pinned(monkeypatch):
+    """Freeness searches and canonical keys per problem, with one verdict
+    and one key per twin orbit of each family; the searches include the
+    construction's freeness check where the problem has a construction."""
+    counts = {"searches": 0, "keys": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lab, "find_expansion", counted("searches", lab.find_expansion))
+    monkeypatch.setattr(lab, "find_blowup", counted("searches", lab.find_blowup))
+    monkeypatch.setattr(lab, "canonical_edge_key", counted("keys", lab.canonical_edge_key))
+    per_problem = []
+    for solve, n, pattern in TURAN_WORKLOAD:
+        before = dict(counts)
+        solve(n, pattern)
+        per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
+    assert per_problem == [(14, 9), (24, 17), (501, 346), (451, 390), (670, 628)]
+    assert (counts["searches"], counts["keys"]) == (1660, 1390)
 
 
 @pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])

@@ -16,6 +16,7 @@ from crosscut.structures import (
     StarClass,
     TriangleClass,
     TripleSystem,
+    _mask_vertices,
     edge_codegree_profile,
     is_d_full,
     is_superfull,
@@ -39,6 +40,19 @@ def triple_systems(max_n=7):
             ),
         )
     )
+
+
+def test_mask_vertices_matches_a_bit_scan():
+    rng = random.Random(11)
+    masks = [0, 1, 1 << 1999, (1 << 2000) - 1]
+    for _ in range(300):
+        width = rng.randint(1, 2000)
+        density = rng.choice([0.001, 0.01, 0.1, 0.5, 0.9])
+        masks.append(sum(1 << v for v in range(width) if rng.random() < density))
+    for mask in masks:
+        assert _mask_vertices(mask) == [
+            v for v in range(mask.bit_length()) if mask >> v & 1
+        ]
 
 
 class TestGraph:

@@ -337,6 +337,13 @@ class TestDecompositionWitness:
         with pytest.raises(InputError):
             decomposition_witness(p3, CrosscutPair((0, 1), ()))
 
+    @pytest.mark.parametrize("ids", [(7,), (-1,)])
+    def test_rejects_out_of_range_ids(self, ids):
+        from crosscut.trees import CrosscutPair
+
+        with pytest.raises(InputError, match="vertex -?[0-9]+ out of range for n=4"):
+            decomposition_witness(path_graph(3), CrosscutPair(ids, ()))
+
     def test_every_pair_of_every_small_tree(self):
         for n in range(2, 10):
             for tree in enumerate_trees(n):
