@@ -141,9 +141,6 @@ class Coloring:
     def color(self, a: int, b: int, c: int) -> int:
         return self.color_of[sorted_triple(a, b, c)]
 
-    def is_surjective_onto_range(self) -> bool:
-        return set(self.color_of.values()) == set(range(self.color_count))
-
 
 def constant_coloring(n: int) -> Coloring:
     """One color for every triple."""

@@ -45,13 +45,6 @@ class Embedding:
     expansion_map: tuple[tuple[Pair, int], ...]
     host_kind: str  # "3graph" | "graph"
 
-    def expansion_of(self, u: int, v: int) -> int:
-        e = sorted_pair(u, v)
-        for edge, w in self.expansion_map:
-            if edge == e:
-                return w
-        raise KeyError(e)
-
     def violations(self, host: TripleSystem | Graph) -> list[str]:
         """Reasons the embedding fails in the host (empty when it holds).
         A host of the other kind is an InputError, not a violation."""

@@ -69,10 +69,6 @@ def canonical_graph_key(graph: Graph) -> tuple:
     return (graph.n, canonical_edge_key(graph.n, graph.edges))
 
 
-def canonical_triples_key(system: TripleSystem) -> tuple:
-    return (system.n, canonical_edge_key(system.n, system.edges))
-
-
 # ---------------------------------------------------------------------------
 # Turán results
 
@@ -131,9 +127,17 @@ def _levelwise_max(
     sorted twin ids of their vertices, are therefore mapped onto each other
     by an automorphism s of current.  So current | {it} and
     current | {s(it)} are isomorphic: the same freeness verdict and the
-    same key.  is_free runs once per signature, and only the first addable
-    item of a signature is keyed, as a later one would have met its key
-    in nxt and been skipped.
+    same key.  Only the first item of a signature is keyed, as a later one
+    would have met its key in nxt and been skipped.
+
+    is_free runs once per isomorphism class per level.  The first child of
+    each signature is keyed before it is searched, and its verdict is
+    shared through one dict per level keyed by canonical_edge_key.  The key
+    is a complete invariant (equal keys iff isomorphic families), and
+    freeness of F^3 or of F's triangle blowup is invariant under
+    isomorphism, so a stored verdict is the one is_free would return.  All
+    children of one level have the same size, so their keys never meet a
+    later level's and the dict is dropped when the level ends.
 
     Returns (best objective, canonical witness keys, node count).
     """
@@ -148,27 +152,31 @@ def _levelwise_max(
         witnesses = set()
     while level:
         nxt: dict[tuple, tuple[frozenset, list]] = {}
+        verdict: dict[tuple, bool] = {}  # canonical key -> freeness, this level
         for current, candidates in level.values():
             budget.tick()
             twin = twin_ids(n, current)
-            verdicts: dict[tuple, bool] = {}
+            by_sig: dict[tuple, bool] = {}
             addable = []
-            firsts = []  # the first addable item of each signature
+            firsts = []  # (child, key) of the first addable item of each signature
             for it in candidates:
                 if it not in current:
                     sig = tuple(sorted([twin[v] for v in it]))
-                    free = verdicts.get(sig)
+                    free = by_sig.get(sig)
                     if free is None:
-                        free = verdicts[sig] = is_free(current | {it})
+                        grown = current | {it}
+                        key = canonical_edge_key(n, grown)
+                        free = verdict.get(key)
+                        if free is None:
+                            free = verdict[key] = is_free(grown)
+                        by_sig[sig] = free
                         if free:
-                            firsts.append(it)
+                            firsts.append((grown, key))
                     if free:
                         addable.append(it)
             if objective(current.union(addable)) < best:
                 continue
-            for it in firsts:
-                grown = current | {it}
-                key = canonical_edge_key(n, grown)
+            for grown, key in firsts:
                 if key in nxt:
                     continue
                 nxt[key] = (grown, addable)

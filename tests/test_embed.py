@@ -380,7 +380,7 @@ class TestCompletePartial:
         with pytest.raises(InputError):
             complete_partial_expansion(host, [(0, 1)], {(2, 3): 5})  # not in copy
         emb = complete_partial_expansion(host, [(0, 1), (1, 2)], {(0, 1): 7})
-        assert emb is not None and emb.expansion_of(0, 1) == 7
+        assert emb is not None and dict(emb.expansion_map)[(0, 1)] == 7
 
     def test_guarantee_threshold(self):
         # every unassigned pair with codegree >= |F| + |V(F)| must complete

@@ -15,7 +15,6 @@ from crosscut.lab import (
     bipartization_distance,
     canonical_edge_key,
     canonical_graph_key,
-    canonical_triples_key,
     cached_turan,
     exact_generalized_turan,
     exact_turan_hypergraph,
@@ -66,9 +65,9 @@ class TestCanonicalForms:
     def test_triple_system_keys(self):
         a = TripleSystem(5, [(0, 1, 2), (2, 3, 4)])
         b = TripleSystem(5, [(4, 3, 2), (2, 1, 0)])
-        assert canonical_triples_key(a) == canonical_triples_key(b)
+        assert canonical_edge_key(a.n, a.edges) == canonical_edge_key(b.n, b.edges)
         c = TripleSystem(5, [(0, 1, 2), (0, 1, 3)])
-        assert canonical_triples_key(a) != canonical_triples_key(c)
+        assert canonical_edge_key(a.n, a.edges) != canonical_edge_key(c.n, c.edges)
 
 
 class TestCanonicalKeyMatchesReference:
@@ -139,9 +138,11 @@ TURAN_WORKLOAD = [
 
 
 def test_turan_work_counts_are_pinned(monkeypatch):
-    """Freeness searches and canonical keys per problem, with one verdict
-    and one key per twin orbit of each family; the searches include the
-    construction's freeness check where the problem has a construction."""
+    """Freeness searches and canonical keys per problem: each family keys
+    the first child of every twin orbit, pruned families too, and one
+    search per isomorphism class per level answers all children with that
+    key; the searches include the construction's freeness check where the
+    problem has a construction."""
     counts = {"searches": 0, "keys": 0}
 
     def counted(name, fn):
@@ -159,16 +160,52 @@ def test_turan_work_counts_are_pinned(monkeypatch):
         before = dict(counts)
         solve(n, pattern)
         per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
-    assert per_problem == [(14, 9), (24, 17), (501, 346), (451, 390), (670, 628)]
-    assert (counts["searches"], counts["keys"]) == (1660, 1390)
+    assert per_problem == [(12, 15), (17, 25), (189, 503), (121, 452), (150, 671)]
+    assert (counts["searches"], counts["keys"]) == (489, 1666)
+
+
+def test_no_class_is_searched_twice_in_one_level(monkeypatch):
+    """Every is_free call of one orderly generation gets a family of a new
+    isomorphism class; families of different levels differ in size, so
+    one set of keys per run covers every level."""
+    fast = lab._levelwise_max
+    runs = []
+
+    def recording(n, all_items, is_free, objective, seed_value, budget):
+        keys = []
+
+        def free(family):
+            keys.append(canonical_edge_key(n, family))
+            return is_free(family)
+
+        runs.append(keys)
+        return fast(n, all_items, free, objective, seed_value, budget)
+
+    monkeypatch.setattr(lab, "_levelwise_max", recording)
+    for solve, n, pattern in TURAN_WORKLOAD + [(exact_turan_hypergraph, 6, path_graph(3))]:
+        solve(n, pattern)
+    assert len(runs) == 6
+    for keys in runs:
+        assert keys and len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
 @pytest.mark.parametrize(
-    "pattern", [path_graph(1), path_graph(2), path_graph(3), cycle_graph(3)], ids=["P1", "P2", "P3", "C3"]
+    "pattern, top",
+    [
+        (path_graph(1), 6),
+        (path_graph(2), 6),
+        (path_graph(3), 6),
+        (cycle_graph(3), 6),
+        (star_graph(3), 5),
+        (Graph(5, [(0, 1), (1, 2), (3, 4)]), 5),
+    ],
+    ids=["P1", "P2", "P3", "C3", "K13", "P2+K2"],
 )
-def test_levelwise_max_matches_reference(monkeypatch, solve, pattern):
-    """Inherited addable sets leave (best, witnesses, nodes) unchanged."""
+def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
+    """Inherited addable sets, twin-orbit tests and verdicts shared by
+    canonical key leave (best, witnesses, nodes) unchanged, also for
+    patterns with non-trivial automorphisms and a disconnected one."""
     fast = lab._levelwise_max
     runs = []
 
@@ -181,9 +218,9 @@ def test_levelwise_max_matches_reference(monkeypatch, solve, pattern):
         return got
 
     monkeypatch.setattr(lab, "_levelwise_max", both)
-    for n in range(3, 7):
+    for n in range(3, top + 1):
         solve(n, pattern)
-    assert len(runs) == 4
+    assert len(runs) == top - 2
     for got, want in runs:
         assert got == want
 
