@@ -4,12 +4,11 @@ A pattern graph F sits inside a 3-graph H as an expansion when F embeds
 into the shadow of H and every pattern edge can be completed by its own
 fresh host vertex.  The search backtracks over shadow embeddings (pattern
 vertices by decreasing degree adjusted for connectivity, host candidates by
-increasing id) and assigns completion vertices by bipartite matching, so the
-decision never depends on greedy slack; a matching failure backtracks into
-the shadow phase.  The matching is kept along the DFS and repaired by
-alternating paths as vertices enter the core and edges complete, and the
-canonical (lexicographically least) assignment is derived from it at the
-leaf; partial-copy completion uses the same matcher.
+increasing id) and assigns completion vertices by a bipartite matching kept
+along the DFS, so the decision never depends on greedy slack.  A slot takes
+an unheld vertex at once (a held-vertex mask); alternating paths run only
+when all its candidates are held.  The canonical assignment is derived from
+the matching at the leaf; partial-copy completion uses the same matcher.
 """
 
 from __future__ import annotations
@@ -139,17 +138,19 @@ class RainbowCertificate:
 # Slots (pattern edges) are matched to host vertices: masks[s] holds the
 # candidates of slot s, match[s] its vertex (-1 while unmatched) and
 # owner[v] the slot holding vertex v (-1 while free).  The expansion search
-# keeps one such matching along its DFS, so each step costs a few
+# keeps one such matching along its DFS, so each step costs at most a few
 # alternating-path searches (Hopcroft & Karp 1973) instead of a matching
-# computed from scratch.
+# computed from scratch, and none when a candidate is free (the cheap
+# assignment of Duff, Kaya & Ucar 2011).
 
 
 def _augment(
     slot: int, masks: list[int], blocked: int, match: list[int], owner: list[int]
-) -> bool:
+) -> int:
     """Search an alternating path from the unmatched slot that avoids the
     vertices in `blocked`.  On success the path is flipped, so the slot is
-    matched as well, and True is returned; on failure nothing changes.
+    matched as well, and the bit of its end, the vertex newly held, is
+    returned; on failure nothing changes and 0 is returned.
 
     When every other slot is matched, a matching covering all slots exists
     iff such a path exists (Berge), so one call decides feasibility.
@@ -178,8 +179,8 @@ def _augment(
             owner[v] = s
             if j:
                 v = via[j - 1]
-        return True
-    return False
+        return bit
+    return 0
 
 
 def _lex_least(
@@ -295,14 +296,17 @@ def find_expansion(
     Returns None iff no embedding exists.  The DFS places pattern vertices
     in `_embedding_order`, host candidates by increasing id, and accepts a
     candidate only if the completed pattern edges still have distinct
-    completion vertices outside the core.  That matching is kept along the
-    DFS: a candidate that enters the core re-augments only the slot that
-    held it, each newly completed edge is augmented once, and a frame's
-    matching is restored on backtrack.  With deterministic=True the
-    certificate is canonical: least shadow images in the search order, then
-    the lexicographically least completion assignment; otherwise the leaf
-    takes the matching it holds.  Every caller in the package keeps the
-    default; the benchmark's tracing wrapper still passes it positionally.
+    completion vertices outside the core.  That matching and `held`, the
+    mask of its vertices, are kept along the DFS and restored on backtrack.
+    A slot needing a vertex takes its least candidate outside the core and
+    `held`, and runs `_augment` only when all are held.  The other slots
+    are matched, so this succeeds iff a full matching exists (Berge):
+    acceptance and node counts do not depend on the matching held.  With
+    deterministic=True the certificate is canonical: least shadow images in
+    the search order, then the lexicographically least completion, which
+    `_lex_least` derives from any full matching; otherwise the leaf takes
+    the matching it holds.  Package callers keep the default; the
+    benchmark's tracer still passes it positionally.
     """
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
@@ -320,6 +324,7 @@ def find_expansion(
     hs = [0] * pattern.n  # host image of order[i]
     cands = [0] * pattern.n  # untried candidates at depth i
     saved: list[tuple[list[int], list[int]]] = [([], [])] * pattern.n
+    helds = [0] * pattern.n  # held at depth i, kept apart from saved[i]
     masks = [0] * m
     match = [-1] * m
     owner = [-1] * host.n
@@ -327,6 +332,7 @@ def find_expansion(
         budget.tick()
     i = 0
     core = 0
+    held = 0  # vertices some slot holds; never meets the core
     cands[0] = full
     saved[0] = (match[:], owner[:])
     while True:
@@ -337,6 +343,7 @@ def find_expansion(
             i -= 1
             core ^= 1 << hs[i]
             match[:], owner[:] = saved[i]
+            held = helds[i]
             continue
         bit = cand & -cand
         cands[i] = cand ^ bit
@@ -347,18 +354,42 @@ def find_expansion(
         if holder >= 0:
             owner[h] = -1
             match[holder] = -1
-            ok = _augment(holder, masks, inner, match, owner)
+            held ^= bit
+            # a free candidate is an augmenting path of length one
+            free = masks[holder] & ~inner
+            took = free & ~held
+            if took:
+                took &= -took
+                v = took.bit_length() - 1
+                match[holder] = v
+                owner[v] = holder
+            elif free:
+                took = _augment(holder, masks, inner, match, owner)
+            held |= took
+            ok = took != 0
         if ok:
             s = first_slot[i]
             for d in back[i]:
                 a = hs[d]
-                masks[s] = pair_nbr[(a, h) if a < h else (h, a)]
-                if not _augment(s, masks, inner, match, owner):
+                free = pair_nbr[(a, h) if a < h else (h, a)]
+                masks[s] = free
+                free &= ~inner
+                took = free & ~held
+                if took:
+                    took &= -took
+                    v = took.bit_length() - 1
+                    match[s] = v
+                    owner[v] = s
+                elif free:
+                    took = _augment(s, masks, inner, match, owner)
+                if not took:
                     ok = False
                     break
+                held |= took
                 s += 1
         if not ok:
             match[:], owner[:] = saved[i]
+            held = helds[i]
             continue
         if budget is not None:
             budget.tick()
@@ -384,6 +415,7 @@ def find_expansion(
             cand &= adj[hs[d]]
         cands[i] = cand
         saved[i] = (match[:], owner[:])
+        helds[i] = held
 
 
 def find_blowup(
@@ -458,6 +490,8 @@ def _completion(
     for p, w in pre.items():
         if p not in set(pairs):
             raise InputError(f"pre-assigned pair {p} is not in the shadow copy")
+        if not _is_int(w) or not 0 <= w < host.n:
+            raise InputError(f"pre-assigned vertex {w!r} is not a host vertex")
         if w in core:
             raise InputError(f"pre-assigned vertex {w} lies in the core")
         if not (host.codegree_mask(*p) >> w) & 1:

@@ -663,3 +663,186 @@ def crosscut_reference(
     sigma, pair = crosscut_number_reference(graph)
     pairs, truncated = all_crosscut_pairs_reference(graph, cap)
     return sigma, pair, pairs, truncated
+
+
+# ---------------------------------------------------------------------------
+# reference expansion search: the earlier crosscut.embed.find_expansion, whose
+# every completion slot runs an alternating-path search, kept verbatim with
+# its matcher and plan so that the held-vertex fast path can be checked
+# certificate for certificate and node for node
+
+
+def _augment_reference(
+    slot: int, masks: list[int], blocked: int, match: list[int], owner: list[int]
+) -> bool:
+    seen = blocked
+    stack = [slot]
+    via: list[int] = []
+    while stack:
+        cand = masks[stack[-1]] & ~seen
+        if not cand:
+            stack.pop()
+            if via:
+                via.pop()
+            continue
+        bit = cand & -cand
+        seen |= bit
+        v = bit.bit_length() - 1
+        holder = owner[v]
+        if holder >= 0:
+            stack.append(holder)
+            via.append(v)
+            continue
+        for j in range(len(stack) - 1, -1, -1):
+            s = stack[j]
+            match[s] = v
+            owner[v] = s
+            if j:
+                v = via[j - 1]
+        return True
+    return False
+
+
+def _lex_least_reference(
+    masks: list[int], blocked: int, match: list[int], owner: list[int], slots
+) -> list[int]:
+    fixed = blocked
+    out = []
+    for s in slots:
+        w = match[s]
+        cand = masks[s] & ~fixed & ((1 << w) - 1)
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            v = bit.bit_length() - 1
+            holder = owner[v]
+            owner[w] = -1
+            match[s] = v
+            owner[v] = s
+            if holder < 0:
+                w = v
+                break
+            match[holder] = -1
+            if _augment_reference(holder, masks, fixed | bit, match, owner):
+                w = v
+                break
+            match[s] = w
+            owner[w] = s
+            match[holder] = v
+            owner[v] = holder
+        fixed |= 1 << w
+        out.append(w)
+    return out
+
+
+def _embedding_order_reference(pattern: Graph) -> list[int]:
+    key = lambda v: (-pattern.degree(v), v)
+    placed: set[int] = set()
+    remaining = set(range(pattern.n))
+    order: list[int] = []
+    while remaining:
+        adjacent = [v for v in remaining if any(w in placed for w in pattern.neighbors(v))]
+        pool = adjacent if adjacent else sorted(remaining)
+        v = min(pool, key=key)
+        order.append(v)
+        placed.add(v)
+        remaining.remove(v)
+    return order
+
+
+def find_expansion_reference(host: TripleSystem, pattern: Graph, deterministic=True, budget=None):
+    """The shadow DFS with one alternating-path search per slot that needs
+    a vertex; same search order, budget ticks and certificates as
+    crosscut.embed.find_expansion."""
+    from crosscut.embed import Embedding
+
+    if not pattern.edges:
+        raise InputError("pattern needs at least one edge")
+    m = len(pattern.edges)
+    if pattern.n + m > host.n:
+        return None
+    pair_nbr = host.pair_nbr
+    adj = [0] * host.n
+    for a, b in pair_nbr:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    order = _embedding_order_reference(pattern)
+    pos = [0] * pattern.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    back = [
+        tuple(sorted([pos[w] for w in pattern.neighbors(u) if pos[w] < i]))
+        for i, u in enumerate(order)
+    ]
+    first_slot = list(itertools.accumulate([len(b) for b in back], initial=0))
+    pat_edges = pattern.edge_list()
+    edge_slot = []
+    for a, b in pat_edges:
+        i, d = max(pos[a], pos[b]), min(pos[a], pos[b])
+        edge_slot.append(first_slot[i] + back[i].index(d))
+    last = pattern.n - 1
+    full = (1 << host.n) - 1
+    hs = [0] * pattern.n
+    cands = [0] * pattern.n
+    saved: list = [([], [])] * pattern.n
+    masks = [0] * m
+    match = [-1] * m
+    owner = [-1] * host.n
+    if budget is not None:
+        budget.tick()
+    i = 0
+    core = 0
+    cands[0] = full
+    saved[0] = (match[:], owner[:])
+    while True:
+        cand = cands[i]
+        if not cand:
+            if i == 0:
+                return None
+            i -= 1
+            core ^= 1 << hs[i]
+            match[:], owner[:] = saved[i]
+            continue
+        bit = cand & -cand
+        cands[i] = cand ^ bit
+        h = bit.bit_length() - 1
+        inner = core | bit
+        ok = True
+        holder = owner[h]
+        if holder >= 0:
+            owner[h] = -1
+            match[holder] = -1
+            ok = _augment_reference(holder, masks, inner, match, owner)
+        if ok:
+            s = first_slot[i]
+            for d in back[i]:
+                a = hs[d]
+                masks[s] = pair_nbr[(a, h) if a < h else (h, a)]
+                if not _augment_reference(s, masks, inner, match, owner):
+                    ok = False
+                    break
+                s += 1
+        if not ok:
+            match[:], owner[:] = saved[i]
+            continue
+        if budget is not None:
+            budget.tick()
+        hs[i] = h
+        if i == last:
+            if deterministic:
+                assign = _lex_least_reference(masks, inner, match, owner, edge_slot)
+            else:
+                assign = [match[s] for s in edge_slot]
+            return Embedding(
+                pattern=pattern,
+                core_map=tuple([hs[i] for i in pos]),
+                expansion_map=tuple(zip(pat_edges, assign)),
+                host_kind="3graph",
+            )
+        i += 1
+        core = inner
+        cand = full & ~core
+        for d in back[i]:
+            cand &= adj[hs[d]]
+        cands[i] = cand
+        saved[i] = (match[:], owner[:])

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,7 @@ from conftest import random_graph, random_triple_system
 from oracles import (
     contains_expansion_naive,
     contains_subgraph_naive,
+    find_expansion_reference,
     lex_least_sdr_naive,
     rainbow_naive,
 )
@@ -166,6 +168,42 @@ class TestFindExpansion:
         ]
         assert missing == [0, 1, 15, 23, 27]
 
+    def test_certificates_and_node_counts_match_the_reference_search(self):
+        # the held-vertex fast path changes which matching the DFS holds,
+        # never whether one exists, so every decision, node count and
+        # canonical certificate is the reference search's; without
+        # deterministic certificates only the decisions must agree
+        rng = random.Random(1973)
+        patterns = [t for v in range(2, 7) for t in enumerate_trees(v)]
+        patterns += [cycle_graph(k) for k in range(3, 7)]
+        searches = []
+        for _ in range(36):
+            host = random_triple_system(rng, rng.randint(6, 14), rng.uniform(0.05, 0.4))
+            searches += [(host, pat) for pat in patterns]
+        for pat in patterns:
+            for n in range(pat.n + len(pat.edges), 2 * pat.n + 2):
+                searches += [(s_construction(n, t), pat) for t in (0, 1, 2)]
+        for _ in range(20):
+            graph = random_graph(rng, rng.randint(5, 9), rng.uniform(0.3, 0.7))
+            for pat in (path_graph(2), path_graph(3), cycle_graph(3), star_graph(3)):
+                budget, ref_budget = SearchBudget(), SearchBudget()
+                got = find_blowup(graph, pat, budget)
+                ref = find_expansion_reference(triangle_system(graph), pat, True, ref_budget)
+                assert got == (None if ref is None else replace(ref, host_kind="graph"))
+                assert budget.nodes == ref_budget.nodes
+        found = 0
+        for host, pat in searches:
+            budget, ref_budget = SearchBudget(), SearchBudget()
+            got = find_expansion(host, pat, True, budget)
+            assert got == find_expansion_reference(host, pat, True, ref_budget)
+            assert budget.nodes == ref_budget.nodes
+            loose = find_expansion(host, pat, False)
+            assert (loose is None) == (got is None)
+            if loose is not None:
+                assert loose.validate(host)
+                found += 1
+        assert (len(searches), found) == (753, 385)
+
     def test_cached_plans_give_the_certificates_of_fresh_ones(self):
         # plans are cached by pattern value: an equal pattern built apart
         # reuses one, a relabelled pattern gets its own
@@ -221,32 +259,42 @@ class TestCompletionMatcher:
     def test_incremental_matching_matches_brute_force(self, ops, rng):
         # the expansion search's use: slots are added one augmentation at a
         # time, a blocked vertex re-augments only the slot that held it, and
-        # the least assignment is derived from the matching held at the end
+        # the least assignment is derived from the matching held at the end;
+        # a success returns the bit of the one vertex it newly holds
         masks: list[int] = []
         match: list[int] = []
         owner = [-1] * 10
         blocked = 0
+
+        def held():
+            return sum(1 << v for v in range(10) if owner[v] >= 0)
+
         for kind, x in ops:
+            got = None  # what _augment returned, when it was called
             if kind == "slot":
                 if len(masks) == 6:
                     continue
                 masks.append(x)
                 match.append(-1)
-                ok = _augment(len(masks) - 1, masks, blocked, match, owner)
+                before = held()
+                got = _augment(len(masks) - 1, masks, blocked, match, owner)
             else:
                 if (blocked >> x) & 1:
                     continue
                 blocked |= 1 << x
                 holder = owner[x]
-                ok = True
                 if holder >= 0:
                     owner[x] = -1
                     match[holder] = -1
-                    ok = _augment(holder, masks, blocked, match, owner)
+                    before = held()
+                    got = _augment(holder, masks, blocked, match, owner)
+            ok = got is None or got != 0
             effective = [mask & ~blocked for mask in masks]
             assert ok == (lex_least_sdr_naive(effective) is not None)
             if not ok:
                 return
+            if got is not None:
+                assert got & (got - 1) == 0 and got == held() & ~before
             assert all((effective[s] >> v) & 1 and owner[v] == s for s, v in enumerate(match))
         order = list(range(len(masks)))
         rng.shuffle(order)
@@ -381,6 +429,11 @@ class TestCompletePartial:
             complete_partial_expansion(host, [(0, 1)], {(2, 3): 5})  # not in copy
         emb = complete_partial_expansion(host, [(0, 1), (1, 2)], {(0, 1): 7})
         assert emb is not None and dict(emb.expansion_map)[(0, 1)] == 7
+
+    @pytest.mark.parametrize("vertex", [-1, 8, "3", 3.0, True, None])
+    def test_preassigned_vertex_outside_the_host_is_an_input_error(self, vertex):
+        with pytest.raises(InputError, match="not a host vertex"):
+            complete_partial_expansion(complete_3graph(8), [(0, 1)], {(0, 1): vertex})
 
     def test_guarantee_threshold(self):
         # every unassigned pair with codegree >= |F| + |V(F)| must complete
