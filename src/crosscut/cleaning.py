@@ -7,8 +7,9 @@ set aside first; then, while the shadow contains a pair that is deficient
 codegree-t pair inside one edge), or intermediate (codegree in [t+1, 3k-1]),
 the least such pair of minimum type is removed together with every edge
 through it.  Termination leaves a (t, 3k)-superfull system.  Pair types are
-kept across removals and only the pairs a removal can affect are
-classified again.
+kept across removals.  A removal takes one edge from every other pair it
+touches, so an untouched pair can change type only next to a touched pair
+left at codegree t-1 or t; only these pairs are classified again.
 
 Linear extraction is a greedy minimum-degree independent set in the graph
 of edges sharing i vertices; it runs in near-linear time from vertex or
@@ -147,13 +148,15 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
     traces are reproducible.
 
     Pair types are kept in `tag` with a lazy heap of (type, pair) entries.
-    A pair's type depends only on its own codegree and on the codegrees of
-    the pairs that share a live edge with it, so after a removal only the
-    pairs of the removed edges and, for each of those pairs p still present
-    and each w completing p, the pairs (p0, w) and (p1, w) are classified
-    again.  Every typed pair has an entry matching its current type, so the
-    first popped entry that still matches is the least (type, pair) a full
-    rescan would find.
+    A pair's type depends only on its own codegree and, at codegree t, on
+    whether a pair sharing a live edge with it has codegree t.  Removing
+    `pair` deletes the edges {pair[0], pair[1], w}, one per w, so every
+    other touched pair (u, v) loses exactly one edge, and its "codegree ==
+    t" status can flip only if it is left at codegree t-1 or t.  So the
+    touched pairs are classified again, plus (u, w) and (v, w) for each
+    touched (u, v) left at t-1 or t and each w completing it.  Every typed
+    pair has an entry matching its current type, so the first popped entry
+    that still matches is the least (type, pair) a full rescan would find.
     """
     if not (_is_int(k) and _is_int(t) and k >= t >= 0):
         raise InputError(f"need integers k >= t >= 0, got k={k}, t={t}")
@@ -192,9 +195,11 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
         touched = _remove_pair(pair, nbrs, edges)
         dirty = set(touched)
         for u, v in touched:
-            for w in nbrs.get((u, v), ()):
-                dirty.add(sorted_pair(u, w))
-                dirty.add(sorted_pair(v, w))
+            ws = nbrs.get((u, v), ())
+            if t - 1 <= len(ws) <= t:
+                for w in ws:
+                    dirty.add(sorted_pair(u, w))
+                    dirty.add(sorted_pair(v, w))
 
     return CleaningTrace(
         k=k,
@@ -241,8 +246,8 @@ def extract_d_full(system: TripleSystem, d: int) -> TripleSystem:
     kernel is unique, is a fixed point, and loses at most d edges per
     shadow pair of the input.
     """
-    if d < 0:
-        raise InputError("d must be nonnegative")
+    if not (_is_int(d) and d >= 0):
+        raise InputError(f"d must be a nonnegative integer, got {d!r}")
     edges = set(system.edges)
     nbrs = _pair_buckets(edges)
     queue = [p for p, ws in nbrs.items() if len(ws) <= d]
@@ -258,11 +263,15 @@ def extract_d_full(system: TripleSystem, d: int) -> TripleSystem:
 
 def max_i_degree(system: TripleSystem, i: int) -> int:
     """Maximum number of edges through an i-subset of vertices."""
+    _check_i(i)
     if i == 1:
         return max((system.degree(v) for v in range(system.n)), default=0)
-    if i == 2:
-        return max((m.bit_count() for m in system.pair_nbr.values()), default=0)
-    raise InputError("i must be 1 or 2")
+    return max((m.bit_count() for m in system.pair_nbr.values()), default=0)
+
+
+def _check_i(i: object) -> None:
+    if not (_is_int(i) and i in (1, 2)):
+        raise InputError(f"i must be 1 or 2, got {i!r}")
 
 
 def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
@@ -278,8 +287,7 @@ def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
     degrees only fall, so a stale entry carries a larger key than the live
     one and is skipped when it surfaces.
     """
-    if i not in (1, 2):
-        raise InputError("i must be 1 or 2")
+    _check_i(i)
     if not system.edges:
         raise InputError("linear extraction needs a nonempty system")
     edges = system.edge_list()
@@ -328,8 +336,8 @@ def fullness_embedding_check(system: TripleSystem, k: int) -> dict:
 
     Returns a report with per-pattern results and an overall flag.
     """
-    if k < 3:
-        raise InputError("k must be >= 3")
+    if not (_is_int(k) and k >= 3):
+        raise InputError(f"k must be an integer >= 3, got {k!r}")
     if not system.edges:
         raise InputError("fullness check needs a nonempty system")
     low = min(m.bit_count() for m in system.pair_nbr.values())

@@ -1,7 +1,9 @@
 """Text and JSON formats for graphs, triple systems, and colorings.
 
 Edge-list text format: a header line `kind=graph|3graph n=<N>`, then one
-edge per line as space-separated vertex ids.  JSON mirror:
+edge per line as space-separated vertex ids, ASCII decimal integers (an
+optional minus sign, then digits 0-9) like every count and id in the text
+formats.  JSON mirror:
 {"kind": "3graph", "n": 12, "edges": [[0, 1, 2], ...]}.  Both parsers
 reject out-of-range ids, duplicate edges, and loops; the JSON parser also
 rejects a document that is not an object, a count or id that is not an
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 from .builders import Coloring
@@ -24,6 +27,11 @@ from .structures import Graph, TripleSystem, _is_int, sorted_triple
 # graphs and triple systems keep per-vertex tables and the coloring check
 # takes combinations of range(n), so a loaded vertex count is bounded
 _MAX_VERTICES = 10**6
+
+# ids and counts in text files are ASCII decimal integers; int() alone would
+# also take "1_2" (as 12), "+1" and non-ASCII digits such as "١"
+_DECIMAL = re.compile(r"-?[0-9]+")
+_DECIMAL_ROW = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
 
 
 def _parse_header(line: str, path: str) -> tuple[str, int]:
@@ -35,10 +43,9 @@ def _parse_header(line: str, path: str) -> tuple[str, int]:
     kind = fields["kind"]
     if kind not in ("graph", "3graph"):
         raise InputError(f"{path}: unknown kind {kind!r}")
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise InputError(f"{path}: bad vertex count {fields['n']!r}") from None
+    if not _DECIMAL.fullmatch(fields["n"]):
+        raise InputError(f"{path}: bad vertex count {fields['n']!r}")
+    n = int(fields["n"])
     _check_vertex_count(n, path)
     return kind, n
 
@@ -82,11 +89,10 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def _text_rows(lines: list[tuple[int, str]], path: str):
     for lineno, line in lines:
-        try:
-            vs = tuple(int(p) for p in line.split())
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-integer vertex id") from None
-        yield vs
+        if not _DECIMAL_ROW.fullmatch(line):
+            bad = next((p for p in line.split() if not _DECIMAL.fullmatch(p)), line)
+            raise InputError(f"{path}:{lineno}: non-integer vertex id {bad!r}")
+        yield tuple(map(int, line.split()))
 
 
 def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
@@ -181,20 +187,18 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
     lines = _content_lines(text)
     if not lines or not lines[0][1].startswith("n="):
         raise InputError(f"{path}: first line must be n=<N>")
-    try:
-        n = int(lines[0][1][2:])
-    except ValueError:
-        raise InputError(f"{path}: bad n") from None
+    if not _DECIMAL.fullmatch(lines[0][1][2:]):
+        raise InputError(f"{path}: bad n")
+    n = int(lines[0][1][2:])
     _check_vertex_count(n, path)
     color_of = {}
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 4:
             raise InputError(f"{path}:{lineno}: expected 'u v w c'")
-        try:
-            u, v, w, c = (int(p) for p in parts)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-integer field") from None
+        if not _DECIMAL_ROW.fullmatch(line):
+            raise InputError(f"{path}:{lineno}: non-integer field")
+        u, v, w, c = map(int, parts)
         t = sorted_triple(u, v, w)
         if len(set(t)) != 3 or not all(0 <= x < n for x in t):
             raise InputError(f"{path}:{lineno}: bad triple {t} for n={n}")

@@ -33,6 +33,32 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_n(n: object) -> None:
+    if not (_is_int(n) and n >= 0):
+        raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
+
+
+def _bad_edge(edge: object, n: int, arity: int) -> InputError:
+    """The error for an edge (arity 2) or triple (arity 3) that failed a
+    constructor's one-line check.  The faults are tried in a fixed order:
+    not `arity` ids, an id that is not an int (bools and floats included),
+    a repeated vertex, an id outside [0, n)."""
+    kind = "edge" if arity == 2 else "triple"
+    try:
+        vs = tuple(edge)
+    except TypeError:
+        return InputError(f"{kind} {edge!r} is not a sequence of vertex ids")
+    if len(vs) != arity:
+        return InputError(f"{kind} {vs} must have {arity} vertices")
+    if not all(type(x) is int for x in vs):
+        return InputError(f"{kind} {vs} has a vertex id that is not an integer")
+    if len(set(vs)) != arity:
+        if arity == 2:
+            return InputError(f"loop at vertex {vs[0]}")
+        return InputError(f"triple {vs} has repeated vertices")
+    return InputError(f"{kind} {vs} out of range for n={n}")
+
+
 def _mask_vertices(mask: int) -> list[int]:
     """The set bits of mask in ascending order, one step per set bit."""
     out = []
@@ -54,16 +80,16 @@ class Graph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
+        _check_n(n)
         clean: set[Pair] = set()
         for e in edges:
-            u, v = e
-            if u == v:
-                raise InputError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge {(u, v)} out of range for n={n}")
-            clean.add(sorted_pair(u, v))
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise _bad_edge(e, n, 2) from None
+            if not (int is type(u) is type(v) and u != v and 0 <= u < n and 0 <= v < n):
+                raise _bad_edge(e, n, 2)
+            clean.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(clean)
         adj = [0] * n
@@ -195,16 +221,16 @@ class TripleSystem:
     __slots__ = ("n", "edges", "pair_nbr", "_deg")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
+        _check_n(n)
         clean: set[Triple] = set()
         for t in triples:
-            a, b, c = t
-            if len({a, b, c}) != 3:
-                raise InputError(f"triple {tuple(t)} has repeated vertices")
-            if not all(0 <= x < n for x in (a, b, c)):
-                raise InputError(f"triple {tuple(t)} out of range for n={n}")
-            clean.add(sorted_triple(a, b, c))
+            try:
+                a, b, c = sorted(t)
+            except (TypeError, ValueError):
+                raise _bad_edge(t, n, 3) from None
+            if not (int is type(a) is type(b) is type(c) and 0 <= a < b < c < n):
+                raise _bad_edge(t, n, 3)
+            clean.add((a, b, c))
         self.n = n
         self.edges = frozenset(clean)
         pair_nbr: dict[Pair, int] = {}

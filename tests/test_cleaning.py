@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscut import cleaning
 from crosscut.builders import s_construction
 from crosscut.cleaning import (
     TYPE_COUPLED,
@@ -54,6 +55,20 @@ class TestCleaningFixtures:
     def test_rejects_bad_parameters(self):
         with pytest.raises(InputError):
             cleaning_algorithm(TripleSystem(4, []), 1, 2)
+
+    @pytest.mark.parametrize("value", ["1", 1.5, 1.0, True, None])
+    def test_parameters_must_be_ints(self, value):
+        h = TripleSystem(5, [(0, 1, 2), (0, 1, 3)])
+        calls = [
+            lambda: cleaning_algorithm(h, value, 1),
+            lambda: extract_d_full(h, value),
+            lambda: extract_linear_subgraph(h, value),
+            lambda: max_i_degree(h, value),
+            lambda: fullness_embedding_check(h, value),
+        ]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
 
 
 class TestCleaningSemantics:
@@ -218,9 +233,23 @@ class TestAgainstNaive:
     """The heap-driven loops pick exactly what the full rescans pick."""
 
     def test_cleaning_on_corpus(self, cleaning_corpus):
+        # k = 1, 2 make coupled removals common, where a too-narrow set of
+        # reclassified pairs shows
+        settings = [(k, t) for k in (1, 2, 3, 4) for t in (0, 1, 2) if t <= k]
         for system, _, _ in cleaning_corpus:
-            for k, t in itertools.product((3, 4), (1, 2)):
+            for k, t in settings:
                 _assert_matches_naive(system, k, t)
+
+    def test_partner_of_a_touched_pair_is_classified_again(self):
+        # removing (3, 7) leaves (5, 7) and (6, 7) at codegree t = 1, which
+        # makes the untouched pair (5, 6) coupled and the least pair left
+        h = TripleSystem(
+            8,
+            [(0, 3, 7), (0, 6, 7), (1, 6, 7), (3, 4, 7), (3, 5, 7), (3, 6, 7), (5, 6, 7)],
+        )
+        trace = cleaning_algorithm(h, 1, 1)
+        assert trace.removed_pairs[-1] == ((5, 6), TYPE_COUPLED)
+        _assert_matches_naive(h, 1, 1)
 
     def test_linear_on_corpus(self, cleaning_corpus):
         for system, _, _ in cleaning_corpus:
@@ -240,6 +269,21 @@ class TestAgainstNaive:
         _assert_matches_naive(system, k, min(t, k))
         if system.edges:
             _assert_linear_matches_naive(system)
+
+    def test_classification_counts_are_pinned(self, monkeypatch):
+        # the work count of the removal loop: calls of _classify_pair
+        calls = []
+        classify = cleaning._classify_pair
+        monkeypatch.setattr(
+            cleaning, "_classify_pair", lambda *a: calls.append(a) or classify(*a)
+        )
+        rng = random.Random(1)
+        counts = []
+        for n in (28, 32, 36):
+            calls.clear()
+            cleaning_algorithm(planted_host(rng, n, 2), 3, 2)
+            counts.append(len(calls))
+        assert counts == [689, 848, 1044]
 
     def test_planted_hosts_are_pinned(self):
         # (n, edges, q, removed pairs listed, sparse, final, linear i=2, i=1)

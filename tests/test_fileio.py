@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from crosscut.builders import lower_bound_coloring, s_construction
@@ -60,6 +62,18 @@ class TestEdgeText:
     def test_negative_vertex_count_gives_file(self):
         with pytest.raises(InputError, match=r"^g.edges: vertex count must be nonnegative$"):
             loads_edge_text("kind=graph n=-2\n", "g.edges")
+
+    @pytest.mark.parametrize("vid", ["1_2", "١", "+1", "0x1", "1.0", "½"])
+    def test_ids_are_ascii_decimal(self, vid):
+        with pytest.raises(InputError, match=rf"^g.edges:3: non-integer vertex id '{re.escape(vid)}'$"):
+            loads_edge_text(f"kind=graph n=20\n0 1\n0 {vid}\n", "g.edges")
+        with pytest.raises(InputError, match=r"^g.edges: bad vertex count"):
+            loads_edge_text(f"kind=graph n={vid}\n", "g.edges")
+
+    def test_decimal_ids_with_leading_zeros_and_tabs(self):
+        assert loads_edge_text("kind=3graph n=012\n0\t1  011\n") == TripleSystem(
+            12, [(0, 1, 11)]
+        )
 
 
 class TestEdgeJson:
@@ -152,6 +166,18 @@ class TestColoringFormat:
     def test_negative_vertex_count_gives_file(self):
         with pytest.raises(InputError, match=r"^c.txt: vertex count must be nonnegative$"):
             loads_coloring("n=-1\n", "c.txt")
+
+    @pytest.mark.parametrize("field", ["1_2", "١", "+1"])
+    def test_fields_are_ascii_decimal(self, field):
+        rows = ["0 1 2 0", "0 1 3 0", "0 2 3 0", "1 2 3 0"]
+        assert loads_coloring("n=4\n" + "\n".join(rows)).n == 4
+        for i in range(4):
+            bad = rows[:]
+            bad[0] = " ".join(field if j == i else x for j, x in enumerate(bad[0].split()))
+            with pytest.raises(InputError, match=r"^c.txt:2: non-integer field$"):
+                loads_coloring("n=4\n" + "\n".join(bad), "c.txt")
+        with pytest.raises(InputError, match=r"^c.txt: bad n$"):
+            loads_coloring(f"n={field}\n", "c.txt")
 
     def test_messages_give_physical_line_numbers(self):
         text = "# a coloring\nn=4\n\n0 1 2 0\n# next\n0 2 1 1\n"

@@ -55,6 +55,50 @@ def test_mask_vertices_matches_a_bit_scan():
         ]
 
 
+# malformed edges: the expected message, an edge of a graph on 5 vertices,
+# and a triple of a triple system on 5 vertices
+MALFORMED = [
+    ("must have", (0,), (0, 1)),
+    ("must have", (0, 1, 2), (0, 1, 2, 3)),
+    ("not a sequence", 3, 3),
+    ("not an integer", (0, True), (0, 1, True)),
+    ("not an integer", (0, 2.0), (0, 1, 2.0)),
+    ("not an integer", (0, "2"), (0, 1, "2")),
+    ("not an integer", ("0", "2"), ("a", "b", "c")),
+    ("not an integer", (0, None), (0, 1, None)),
+    ("loop at vertex 2|repeated vertices", (2, 2), (2, 1, 2)),
+    ("out of range", (0, 5), (0, 1, 5)),
+    ("out of range", (-1, 2), (-1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("message, edge, triple", MALFORMED)
+def test_malformed_edges_raise_input_error(message, edge, triple):
+    with pytest.raises(InputError, match=message):
+        Graph(5, [(1, 2), edge])
+    with pytest.raises(InputError, match=message):
+        TripleSystem(5, [(1, 2, 3), triple])
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, "5", True, None])
+def test_bad_vertex_counts_raise_input_error(n):
+    with pytest.raises(InputError, match="vertex count"):
+        Graph(n)
+    with pytest.raises(InputError, match="vertex count"):
+        TripleSystem(n)
+
+
+def test_repeated_vertex_is_reported_before_out_of_range():
+    with pytest.raises(InputError, match=r"^triple \(7, 7, 1\) has repeated vertices$"):
+        TripleSystem(4, [(7, 7, 1)])
+    with pytest.raises(InputError, match=r"^loop at vertex 7$"):
+        Graph(4, [(7, 7)])
+    with pytest.raises(InputError, match=r"^triple \(2, 0, 4\) out of range for n=4$"):
+        TripleSystem(4, [(2, 0, 4)])
+    with pytest.raises(InputError, match=r"^edge \(4, 0\) out of range for n=4$"):
+        Graph(4, [(4, 0)])
+
+
 class TestGraph:
     def test_rejects_loops_and_out_of_range(self):
         with pytest.raises(InputError):
