@@ -139,47 +139,57 @@ def _levelwise_max(
     children of one level have the same size, so their keys never meet a
     later level's and the dict is dropped when the level ends.
 
+    Each labelled child is keyed once per level: a second dict maps the
+    child's item bitmask (bit i for all_items[i]) to its key, so a family
+    reached from several parents is not keyed again.  Int masks keep the
+    dict smaller than frozensets would.  The empty family is keyed once,
+    for the first level and the first witness set.
+
     Returns (best objective, canonical witness keys, node count).
     """
+    bits = {it: 1 << i for i, it in enumerate(all_items)}
     empty: frozenset = frozenset()
-    level: dict[tuple, tuple[frozenset, list]] = {
-        canonical_edge_key(n, empty): (empty, all_items)
-    }
+    empty_key = canonical_edge_key(n, empty)
+    level: dict[tuple, tuple[frozenset, int, list]] = {empty_key: (empty, 0, all_items)}
     best = objective(empty)
-    witnesses = {canonical_edge_key(n, empty)}
+    witnesses = {empty_key}
     if seed_value > best:
         best = seed_value
         witnesses = set()
     while level:
-        nxt: dict[tuple, tuple[frozenset, list]] = {}
+        nxt: dict[tuple, tuple[frozenset, int, list]] = {}
+        keys: dict[int, tuple] = {}  # item bitmask -> canonical key, this level
         verdict: dict[tuple, bool] = {}  # canonical key -> freeness, this level
-        for current, candidates in level.values():
+        for current, mask, candidates in level.values():
             budget.tick()
             twin = twin_ids(n, current)
             by_sig: dict[tuple, bool] = {}
             addable = []
-            firsts = []  # (child, key) of the first addable item of each signature
+            firsts = []  # (child, bitmask, key) of the first addable item of each signature
             for it in candidates:
                 if it not in current:
                     sig = tuple(sorted([twin[v] for v in it]))
                     free = by_sig.get(sig)
                     if free is None:
                         grown = current | {it}
-                        key = canonical_edge_key(n, grown)
+                        grown_mask = mask | bits[it]
+                        key = keys.get(grown_mask)
+                        if key is None:
+                            key = keys[grown_mask] = canonical_edge_key(n, grown)
                         free = verdict.get(key)
                         if free is None:
                             free = verdict[key] = is_free(grown)
                         by_sig[sig] = free
                         if free:
-                            firsts.append((grown, key))
+                            firsts.append((grown, grown_mask, key))
                     if free:
                         addable.append(it)
             if objective(current.union(addable)) < best:
                 continue
-            for grown, key in firsts:
+            for grown, grown_mask, key in firsts:
                 if key in nxt:
                     continue
-                nxt[key] = (grown, addable)
+                nxt[key] = (grown, grown_mask, addable)
                 val = objective(grown)
                 if val > best:
                     best = val

@@ -1,14 +1,15 @@
 """Vertex symmetry of graphs and 3-graphs: refinement classes, twin groups,
 and the twin ids and canonical edge key built from them.
 
-The key serves lab's orderly generation and result cache (lab re-exports
-it).  The module imports nothing from the package, so the search modules
-below lab can use the same classes and twin groups.
+The key is the least relabelled edge list over the arrangements of the
+twin groups in each class, found by a depth-first search that prunes a
+partial labelling once a lower bound on its keys reaches the best key
+found.  It serves lab's orderly generation and result cache (lab
+re-exports it).  The module imports nothing from the package, so the
+search modules below lab can use the same classes and twin groups.
 """
 
 from __future__ import annotations
-
-import itertools
 
 
 def _refined_classes(n: int, partners: list[list], triples: bool) -> list[list[int]]:
@@ -112,27 +113,80 @@ def twin_ids(n: int, edges) -> list[int]:
     return ids
 
 
-def _arrangements(groups: list[list[int]], offset: int) -> list[list[tuple[int, int]]]:
-    """One (vertex, label) assignment of the block offset, offset+1, ...
-    per distinct arrangement of the twin groups over it: the multiset
-    permutations of the group indices in lexicographic order, each group's
-    vertices taking its slots in class order."""
-    seq = [g for g, group in enumerate(groups) for _ in group]
-    last = len(seq) - 1
+def _edge_codes(items: list, label: list[int], n: int, triples: bool) -> list[int]:
+    """The sorted codes of the edges under label: x*n*n + y*n + z for the
+    sorted labels (x, y, z) of a triple, x*n + y for a pair."""
     out = []
-    while True:
-        queues = [iter(group) for group in groups]
-        out.append([(next(queues[g]), offset + j) for j, g in enumerate(seq)])
-        i = last - 1
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = last
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = seq[: i : -1]
+    if triples:
+        square = n * n
+        for a, b, c in items:
+            x = label[a]
+            y = label[b]
+            z = label[c]
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            out.append(x * square + y * n + z)
+    else:
+        for a, b in items:
+            x = label[a]
+            y = label[b]
+            out.append(x * n + y if x < y else y * n + x)
+    out.sort()
+    return out
+
+
+def _least_codes(
+    items: list,
+    label: list[int],
+    n: int,
+    triples: bool,
+    blocks: list[tuple[int, list[list[int]]]],
+    b: int,
+    j: int,
+    best: list[int] | None,
+) -> list[int]:
+    """The least sorted edge codes over the completions of a labelling
+    that has given the first j labels of block b, if below best; else
+    best.  Each block's twin groups are stacks of the vertices still
+    unlabelled, the next one on top; they and label are restored on
+    return."""
+    if b == len(blocks):
+        key = _edge_codes(items, label, n, triples)
+        return key if best is None or key < best else best
+    offset, stacks = blocks[b]
+    slot = offset + j
+    open_stacks = [stack for stack in stacks if stack]
+    if len(open_stacks) == 1:
+        # one twin group left: the rest of the block is forced
+        stack = open_stacks[0]
+        rest = stack[::-1]
+        stack.clear()
+        for k, v in enumerate(rest, slot):
+            label[v] = k
+        best = _least_codes(items, label, n, triples, blocks, b + 1, 0, best)
+        for v in rest:
+            label[v] = slot
+        stack.extend(reversed(rest))
+        return best
+    if best is not None and _edge_codes(items, label, n, triples) >= best:
+        return best
+    for stack in open_stacks:
+        for v in stack:
+            label[v] = slot + 1
+    for stack in open_stacks:
+        v = stack.pop()
+        label[v] = slot
+        best = _least_codes(items, label, n, triples, blocks, b, j + 1, best)
+        label[v] = slot + 1
+        stack.append(v)
+    for stack in open_stacks:
+        for v in stack:
+            label[v] = slot
+    return best
 
 
 def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
@@ -151,39 +205,49 @@ def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
     under automorphisms, so each class block only takes the distinct
     arrangements of its twin groups, and the minimum over them is the
     minimum over all its permutations.
+
+    The arrangements are searched depth first (McKay and Piperno,
+    Practical Graph Isomorphism II, 2014: drop a partial labelling that
+    cannot beat the best one found).  The search fills the label blocks of
+    the classes with several twin groups in label order, each step giving
+    the block's least free label to the next vertex of one twin group.
+    Edges are compared as integer codes: the sorted labels (x, y, z) of a
+    triple code as x*n*n + y*n + z and (x, y) of a pair as x*n + y; labels
+    stay below n, so the codes sort as the tuples do.
+
+    While the search runs, a vertex not yet labelled is bounded below by
+    the least free label of its class block.  The code of a sorted label
+    tuple never decreases when one input label grows (sorting keeps
+    element-wise order), so each edge's bound code is at most its final
+    code in every completion.  Sorting the list of codes keeps that
+    element-wise order, and element-wise <= implies lexicographic <=.  So
+    no completion of a labelling whose sorted bound codes are >= the best
+    key so far is below that key, and the labelling is pruned.  Bounds
+    only grow down the search, so where one twin group is left in a block,
+    its vertices take the rest of the block at once and the bound is next
+    tested at a choice or a complete labelling.  Only the winning codes
+    are turned back into tuples.
     """
     items = sorted([tuple(sorted(e)) for e in edges])
     if not items:
         return ()
     triples, partners = _partners(n, items)
-    relabel = [0] * n
-    choices = []  # arrangement lists of the classes with several twin groups
+    label = [0] * n  # the least free label of its block for a vertex not yet labelled
+    blocks = []  # (offset, twin groups as stacks) of the classes with several groups
     offset = 0
     for cls in _refined_classes(n, partners, triples):
         if partners[cls[0]]:
             groups = _twin_groups(cls, partners, triples) if len(cls) > 1 else [cls]
             if len(groups) == 1:
                 for j, v in enumerate(cls):
-                    relabel[v] = offset + j
+                    label[v] = offset + j
             else:
-                choices.append(_arrangements(groups, offset))
+                for v in cls:
+                    label[v] = offset
+                blocks.append((offset, [group[::-1] for group in groups]))
         offset += len(cls)
-    best: list | None = None
-    for parts in itertools.product(*choices):
-        for part in parts:
-            for v, label in part:
-                relabel[v] = label
-        key = []
-        if triples:
-            for a, b, c in items:
-                key.append(tuple(sorted([relabel[a], relabel[b], relabel[c]])))
-        else:
-            for a, b in items:
-                x = relabel[a]
-                y = relabel[b]
-                key.append((x, y) if x < y else (y, x))
-        key.sort()
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return tuple(best)
+    best = _least_codes(items, label, n, triples, blocks, 0, 0, None)
+    if triples:
+        square = n * n
+        return tuple([(c // square, c // n % n, c % n) for c in best])
+    return tuple([divmod(c, n) for c in best])

@@ -103,6 +103,37 @@ class TestCanonicalKeyMatchesReference:
                 system.n, system.edges
             )
 
+    def test_families_where_pruning_matters(self):
+        """These families keep large refinement classes with several twin
+        groups, whose many arrangements give equal keys: the bounded search
+        prunes least where its bound meets ties."""
+        c7 = cycle_graph(7)
+        pairs7 = itertools.combinations(range(7), 2)
+        fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        systems = [
+            cycle_graph(6),
+            c7,
+            Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),  # K3,3
+            Graph(6, triangles + [(0, 3), (1, 4), (2, 5)]),  # the prism
+            Graph(6, triangles),  # 2K3
+            Graph(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2
+            Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # C5 plus an isolated vertex
+            Graph(7, [e for e in pairs7 if e not in c7.edges]),  # the complement of C7
+            TripleSystem(7, fano),
+        ]
+        for system in systems:
+            assert canonical_edge_key(system.n, system.edges) == canonical_edge_key_reference(
+                system.n, system.edges
+            )
+
+    def test_every_labelled_graph_on_at_most_5_vertices(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = frozenset(e for i, e in enumerate(pairs) if mask >> i & 1)
+                assert canonical_edge_key(n, edges) == canonical_edge_key_reference(n, edges)
+
     def test_star_keys_have_closed_form(self):
         # every leaf is a twin of every other, so one arrangement is tried
         for k in range(1, 11):
@@ -139,10 +170,11 @@ TURAN_WORKLOAD = [
 
 def test_turan_work_counts_are_pinned(monkeypatch):
     """Freeness searches and canonical keys per problem: each family keys
-    the first child of every twin orbit, pruned families too, and one
-    search per isomorphism class per level answers all children with that
-    key; the searches include the construction's freeness check where the
-    problem has a construction."""
+    the first child of every twin orbit, pruned families too, a labelled
+    child reached from several parents is keyed once, and one search per
+    isomorphism class per level answers all children with that key; the
+    searches include the construction's freeness check where the problem
+    has a construction."""
     counts = {"searches": 0, "keys": 0}
 
     def counted(name, fn):
@@ -160,8 +192,34 @@ def test_turan_work_counts_are_pinned(monkeypatch):
         before = dict(counts)
         solve(n, pattern)
         per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
-    assert per_problem == [(12, 15), (17, 25), (189, 503), (121, 452), (150, 671)]
-    assert (counts["searches"], counts["keys"]) == (489, 1666)
+    assert per_problem == [(12, 12), (17, 19), (189, 381), (121, 368), (150, 521)]
+    assert (counts["searches"], counts["keys"]) == (489, 1301)
+
+
+def test_no_labelled_family_is_keyed_twice_in_one_level(monkeypatch):
+    """Each canonical key call of one orderly generation gets a labelled
+    family not keyed before in its level; the families of one level are
+    exactly those of one size."""
+    runs = []
+    fast = lab._levelwise_max
+
+    def recording(n, all_items, is_free, objective, seed_value, budget):
+        runs.append({})
+        return fast(n, all_items, is_free, objective, seed_value, budget)
+
+    def keyed(n, edges):
+        runs[-1].setdefault(len(edges), []).append(frozenset(edges))
+        return canonical_edge_key(n, edges)
+
+    monkeypatch.setattr(lab, "_levelwise_max", recording)
+    monkeypatch.setattr(lab, "canonical_edge_key", keyed)
+    for solve, n, pattern in TURAN_WORKLOAD:
+        solve(n, pattern)
+    assert len(runs) == len(TURAN_WORKLOAD)
+    for levels in runs:
+        assert len(levels) > 1
+        for families in levels.values():
+            assert len(set(families)) == len(families)
 
 
 def test_no_class_is_searched_twice_in_one_level(monkeypatch):
