@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .errors import InputError
-from .structures import Graph, Triple, TripleSystem, sorted_triple
+from .structures import Graph, Triple, TripleSystem, _is_int, sorted_triple
 
 
 def expansion(base: Graph) -> TripleSystem:
@@ -46,18 +46,21 @@ def triangle_system(graph: Graph) -> TripleSystem:
     return TripleSystem(graph.n, graph.triangle_list())
 
 
-def s_construction(n: int, t: int) -> TripleSystem:
-    """All triples of [n] meeting the apex set {0..t-1}."""
+def _check_apexes(n: int, t: int) -> None:
     if not 0 <= t <= n:
         raise InputError(f"need 0 <= t <= n, got t={t}, n={n}")
+
+
+def s_construction(n: int, t: int) -> TripleSystem:
+    """All triples of [n] meeting the apex set {0..t-1}."""
+    _check_apexes(n, t)
     triples = [e for e in itertools.combinations(range(n), 3) if e[0] < t]
     return TripleSystem(n, triples)
 
 
 def s_size(n: int, t: int) -> int:
     """Closed form for the apex-system size: C(n,3) - C(n-t,3)."""
-    if not 0 <= t <= n:
-        raise InputError(f"need 0 <= t <= n, got t={t}, n={n}")
+    _check_apexes(n, t)
     return math.comb(n, 3) - math.comb(n - t, 3)
 
 
@@ -88,8 +91,7 @@ def balanced_bipartite(m: int, plus: bool = False) -> Graph:
 def s_graph(n: int, t: int, plus: bool = False) -> Graph:
     """Clique on t apexes joined to a balanced bipartite graph on n-t
     vertices (with the extra edge when plus)."""
-    if not 0 <= t <= n:
-        raise InputError(f"need 0 <= t <= n, got t={t}, n={n}")
+    _check_apexes(n, t)
     clique = Graph(t, itertools.combinations(range(t), 2))
     return join(clique, balanced_bipartite(n - t, plus=plus))
 
@@ -103,8 +105,7 @@ def sbi_size(n: int, t: int, plus: bool = False) -> int:
     """Closed form validated against the triangle-count oracle in tests:
     C(t,3) + C(t,2)(n-t) + t*floor((n-t)/2)*ceil((n-t)/2), plus
     t + ceil((n-t)/2) when the extra edge is present."""
-    if not 0 <= t <= n:
-        raise InputError(f"need 0 <= t <= n, got t={t}, n={n}")
+    _check_apexes(n, t)
     m = n - t
     base = math.comb(t, 3) + math.comb(t, 2) * m + t * (m // 2) * ((m + 1) // 2)
     if plus:
@@ -115,28 +116,32 @@ def sbi_size(n: int, t: int, plus: bool = False) -> int:
 class Coloring:
     """Total map from all triples of [n] to color ids.
 
-    `color_count` is the number of distinct colors; colorings constructed
-    here are surjective onto range(color_count).
+    Every key is a sorted triple that `TripleSystem` accepts, and every
+    color an int (not a bool).  `color_count` is the number of distinct
+    colors; colorings constructed here are surjective onto
+    range(color_count).
     """
 
     __slots__ = ("n", "color_of", "color_count")
 
     def __init__(self, n: int, color_of: dict[Triple, int]):
-        expected = math.comb(n, 3)
-        if len(color_of) != expected:
-            raise InputError(
-                f"coloring must cover all {expected} triples, got {len(color_of)}"
+        triples = TripleSystem(n, color_of).edges
+        for t, color in color_of.items():
+            if t not in triples:
+                raise InputError(f"coloring key {t!r} is not a sorted triple")
+            if not _is_int(color):
+                raise InputError(f"color {color!r} of triple {t} is not an integer")
+        missing = math.comb(n, 3) - len(color_of)
+        if missing:
+            # every key is a distinct triple of [n], so the first missing one
+            # turns up within len(color_of) + 1 steps whatever n is
+            first = next(
+                t for t in itertools.combinations(range(n), 3) if t not in color_of
             )
-        used = set()
-        for triple, color in color_of.items():
-            if sorted_triple(*triple) != triple or not all(
-                0 <= x < n for x in triple
-            ):
-                raise InputError(f"bad triple {triple} in coloring")
-            used.add(color)
+            raise InputError(f"{missing} triples missing (first {first})")
         self.n = n
         self.color_of = dict(color_of)
-        self.color_count = len(used)
+        self.color_count = len(set(color_of.values()))
 
     def color(self, a: int, b: int, c: int) -> int:
         return self.color_of[sorted_triple(a, b, c)]

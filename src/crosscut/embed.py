@@ -95,10 +95,7 @@ class Embedding:
     def from_json(data: dict) -> "Embedding":
         """Parse the JSON form; any missing or mistyped field is an InputError."""
         try:
-            pattern = Graph(
-                _json_int(data["pattern"]["n"]),
-                [_json_ints(e, 2) for e in data["pattern"]["edges"]],
-            )
+            pattern = Graph(data["pattern"]["n"], data["pattern"]["edges"])
             core_map = _json_ints(data["core_map"])
             expansion_map = tuple(
                 (sorted_pair(*_json_ints(item["edge"], 2)), _json_int(item["vertex"]))

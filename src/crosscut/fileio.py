@@ -4,19 +4,18 @@ Edge-list text format: a header line `kind=graph|3graph n=<N>`, then one
 edge per line as space-separated vertex ids, ASCII decimal integers (an
 optional minus sign, then digits 0-9) like every count and id in the text
 formats.  JSON mirror:
-{"kind": "3graph", "n": 12, "edges": [[0, 1, 2], ...]}.  Both parsers
-reject out-of-range ids, duplicate edges, and loops; the JSON parser also
-rejects a document that is not an object, a count or id that is not an
-integer (booleans included), and edges that are not lists.  Coloring files
-list `u v w c` for every triple of [n].  Every loader rejects a vertex
-count below 0 or above 10^6 before allocating anything for it.
+{"kind": "3graph", "n": 12, "edges": [[0, 1, 2], ...]}.  Coloring files
+list `u v w c` for every triple of [n].  The loaders check syntax and
+repeated edges; `Graph`, `TripleSystem` and `Coloring` reject a bad edge,
+triple or color, and the loaders prefix that message with the file and
+line or JSON index: `g.edges:4: edge (0, 3) out of range for n=3`.  Every
+loader rejects a vertex count below 0 or above 10^6 before allocating
+anything for it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import re
 from pathlib import Path
 
@@ -57,27 +56,36 @@ def _check_vertex_count(n: int, path: str) -> None:
         raise InputError(f"{path}: vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
-def _structure(kind: str, n: int, rows, where) -> Graph | TripleSystem:
-    """Build the structure from rows of vertex ids, rejecting a row of the
-    wrong arity, with an id outside [0, n), with a repeated vertex, or
-    repeating an earlier edge; where(i) locates row i in messages."""
-    arity = 2 if kind == "graph" else 3
-    edges = []
-    seen = set()
-    for i, vs in enumerate(rows):
-        if len(vs) != arity:
-            raise InputError(f"{where(i)}: expected {arity} vertex ids")
-        key = tuple(sorted(vs))
-        if key[0] < 0 or key[-1] >= n:
-            bad = key[0] if key[0] < 0 else key[-1]
-            raise InputError(f"{where(i)}: vertex {bad} out of range for n={n}")
-        if len(set(key)) != arity:
-            raise InputError(f"{where(i)}: repeated vertex in edge")
-        if key in seen:
-            raise InputError(f"{where(i)}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(vs)
-    return Graph(n, edges) if kind == "graph" else TripleSystem(n, edges)
+def _structure(kind: str, n: int, rows: list, where, path: str) -> Graph | TripleSystem:
+    """Build the structure from rows of vertex ids; the constructor decides
+    which rows are edges.  where(i) locates row i in messages: the row the
+    constructor rejects, or the first row repeating an earlier edge (looked
+    for only when there are fewer edges than rows)."""
+    build = Graph if kind == "graph" else TripleSystem
+    try:
+        obj = build(n, rows)
+    except InputError as exc:
+        raise _located(exc, build, n, rows, where, path) from None
+    if len(obj) != len(rows):
+        seen = set()
+        for i, vs in enumerate(rows):
+            key = tuple(sorted(vs))
+            if key in seen:
+                raise InputError(f"{where(i)}: duplicate edge {key}")
+            seen.add(key)
+    return obj
+
+
+def _located(exc: InputError, build, n: int, rows: list, where, path: str) -> InputError:
+    """exc, raised by build(n, rows), prefixed by where(i) for the first row
+    that build(n, [row]) rejects: rows are checked in order, so that row is
+    the one exc is about.  An exc that no row causes gets the bare path."""
+    for i, row in enumerate(rows):
+        try:
+            build(n, [row])
+        except InputError:
+            return InputError(f"{where(i)}: {exc}")
+    return InputError(f"{path}: {exc}")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -87,12 +95,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return [(i, l) for i, l in numbered if l and not l.startswith("#")]
 
 
-def _text_rows(lines: list[tuple[int, str]], path: str):
+def _text_rows(lines: list[tuple[int, str]], path: str) -> list[tuple[int, ...]]:
     for lineno, line in lines:
         if not _DECIMAL_ROW.fullmatch(line):
             bad = next((p for p in line.split() if not _DECIMAL.fullmatch(p)), line)
             raise InputError(f"{path}:{lineno}: non-integer vertex id {bad!r}")
-        yield tuple(map(int, line.split()))
+    return [tuple(map(int, line.split())) for _, line in lines]
 
 
 def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
@@ -101,7 +109,8 @@ def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
         raise InputError(f"{path}: empty input")
     kind, n = _parse_header(lines[0][1], path)
     rows = lines[1:]
-    return _structure(kind, n, _text_rows(rows, path), lambda i: f"{path}:{rows[i][0]}")
+    where = lambda i: f"{path}:{rows[i][0]}"
+    return _structure(kind, n, _text_rows(rows, path), where, path)
 
 
 def dumps_edge_text(obj: Graph | TripleSystem) -> str:
@@ -132,10 +141,7 @@ def loads_edge_json(text: str, path: str = "<json>") -> Graph | TripleSystem:
     _check_vertex_count(n, path)
     if not isinstance(edges, list):
         raise InputError(f"{path}: edges must be a list")
-    for e in edges:
-        if not (isinstance(e, list) and all(_is_int(x) for x in e)):
-            raise InputError(f"{path}: an edge is a list of integer ids, got {e!r}")
-    return _structure(kind, n, edges, lambda i: f"{path}: edge {edges[i]}")
+    return _structure(kind, n, edges, lambda i: f"{path}: edges[{i}]", path)
 
 
 def dumps_edge_json(obj: Graph | TripleSystem) -> str:
@@ -200,20 +206,14 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
             raise InputError(f"{path}:{lineno}: non-integer field")
         u, v, w, c = map(int, parts)
         t = sorted_triple(u, v, w)
-        if len(set(t)) != 3 or not all(0 <= x < n for x in t):
-            raise InputError(f"{path}:{lineno}: bad triple {t} for n={n}")
         if t in color_of:
             raise InputError(f"{path}:{lineno}: duplicate triple {t}")
         color_of[t] = c
-    # every listed triple is a distinct triple of [n], so the first missing
-    # one turns up within len(color_of) + 1 steps whatever n is
-    missing = math.comb(n, 3) - len(color_of)
-    if missing:
-        first = next(
-            t for t in itertools.combinations(range(n), 3) if t not in color_of
-        )
-        raise InputError(f"{path}: {missing} triples missing (first {first})")
-    return Coloring(n, color_of)
+    try:
+        return Coloring(n, color_of)
+    except InputError as exc:
+        where = lambda i: f"{path}:{lines[i + 1][0]}"
+        raise _located(exc, TripleSystem, n, list(color_of), where, path) from None
 
 
 def dumps_coloring(coloring: Coloring) -> str:

@@ -294,25 +294,20 @@ def exact_turan_hypergraph(
 
 def _pattern_construction_for_triangles(n: int, pattern: Graph):
     """Lower-bound construction for the triangle objective: the joined
-    construction, with the extra edge for even paths and even cycles."""
-    verts = pattern.n
-    degs = sorted(pattern.degrees())
-    is_path = (
-        pattern.is_tree()
-        and verts >= 2
-        and degs == [1, 1] + [2] * (verts - 2)
-    )
+    construction, with the extra edge for even paths and even cycles: the
+    trees and cycles of maximum degree 2 (the caller rejects edgeless
+    patterns)."""
     edge_count = len(pattern.edges)
+    degrees = pattern.degrees()
     is_cycle = (
         pattern.is_connected()
-        and edge_count == verts
-        and all(d == 2 for d in pattern.degrees())
+        and edge_count == pattern.n
+        and all(d == 2 for d in degrees)
     )
     if not (pattern.is_tree() or is_cycle):
         return None
-    sigma = crosscut_value(pattern)
-    t = sigma - 1
-    plus = (is_path and edge_count % 2 == 0) or (is_cycle and edge_count % 2 == 0)
+    t = crosscut_value(pattern) - 1
+    plus = edge_count % 2 == 0 and max(degrees) <= 2
     if t < 0 or t > n or (plus and (n - t) // 2 < 2):
         return None
     return t, plus
@@ -422,7 +417,7 @@ class ClosenessReport:
         }
 
 
-def _candidate_sets(n: int, t: int, delta: float, degree_of) -> "itertools.chain":
+def _candidate_sets(n: int, t: int, delta: float, degree_of) -> list[tuple[int, ...]]:
     """The t-subsets of [n], highest degree sums first, those inside the
     t + ceil(1/delta) highest-degree vertices before the rest."""
     if not 0 < delta < 0.5:
@@ -432,17 +427,11 @@ def _candidate_sets(n: int, t: int, delta: float, degree_of) -> "itertools.chain
     if t > n:
         raise InputError("t exceeds the vertex count")
     ranked = sorted(range(n), key=lambda v: (-degree_of(v), v))
-    pool = ranked[: t + math.ceil(1 / delta)]
-    first = sorted(
-        itertools.combinations(sorted(pool), t),
-        key=lambda L: (-sum(degree_of(v) for v in L), L),
-    )
-    rest = sorted(
+    pool = set(ranked[: t + math.ceil(1 / delta)])
+    return sorted(
         itertools.combinations(range(n), t),
-        key=lambda L: (-sum(degree_of(v) for v in L), L),
+        key=lambda L: (not pool.issuperset(L), -sum(degree_of(v) for v in L), L),
     )
-    seen = set(first)
-    return itertools.chain(first, (L for L in rest if L not in seen))
 
 
 def hypergraph_closeness(

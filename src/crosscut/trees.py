@@ -450,27 +450,20 @@ def tree_canonical(graph: Graph) -> tuple[str, Graph]:
     _require_tree(graph)
     n = graph.n
     adj = [graph.neighbors(v) for v in range(n)]
-    centers = _centers(n, adj)
-    root = min(centers, key=lambda c: _rooted_code_sub(adj, c, -1))
-    label: dict[int, int] = {}
-    code = _assign_labels(adj, root, -1, label)
+    code, walk = min(_rooted(adj, c, -1) for c in _centers(n, adj))
+    label = {v: i for i, v in enumerate(walk)}
     relabeled = Graph(n, [(label[u], label[v]) for u, v in graph.edges])
     return code, relabeled
 
 
-def _assign_labels(
-    adj: list[list[int]], v: int, parent: int, label: dict[int, int]
-) -> str:
-    """Label the subtree at v in preorder, children in sorted-code order;
-    returns its rooted code."""
-    label[v] = len(label)
-    kids = sorted((_rooted_code_sub(adj, w, v), w) for w in adj[v] if w != parent)
-    return "(" + "".join(_assign_labels(adj, w, v, label) for _, w in kids) + ")"
-
-
-def _rooted_code_sub(adj: list[list[int]], v: int, parent: int) -> str:
-    subs = sorted(_rooted_code_sub(adj, w, v) for w in adj[v] if w != parent)
-    return "(" + "".join(subs) + ")"
+def _rooted(adj: list[list[int]], v: int, parent: int) -> tuple[str, list[int]]:
+    """The rooted code of the subtree at v and its preorder walk, children
+    in sorted-code order; ties fall to the child id that heads each walk."""
+    kids = sorted(_rooted(adj, w, v) for w in adj[v] if w != parent)
+    return (
+        "(" + "".join(code for code, _ in kids) + ")",
+        [v] + [u for _, walk in kids for u in walk],
+    )
 
 
 def enumerate_trees(n: int) -> list[Graph]:

@@ -199,3 +199,30 @@ class TestColoring:
             from crosscut.builders import Coloring
 
             Coloring(5, {(0, 1, 2): 0})
+
+    @pytest.mark.parametrize(
+        "n, color_of",
+        [
+            (3, {(0, 0, 1): 0}),
+            (3, {(0, 1, 2.0): 0}),
+            (3, {(False, 1, 2): 0}),
+            (3, {(0, 1, "2"): 0}),
+            (3, {(1, 0, 2): 0}),
+            (4, {(0, 1, 2): 0, (0, 1, 3): 0, (0, 2, 3): 0, (1, 2, 4): 0}),
+            (3, {(0, 1, 2): 1.5}),
+            (3, {(0, 1, 2): True}),
+            (2.5, {}),
+            (-1, {}),
+            ("3", {}),
+        ],
+        ids=[
+            "repeated-vertex", "float-id", "bool-id", "string-id", "unsorted-key",
+            "out-of-range-id", "float-color", "bool-color", "float-n", "negative-n",
+            "string-n",
+        ],
+    )
+    def test_malformed_colorings_rejected(self, n, color_of):
+        from crosscut.builders import Coloring
+
+        with pytest.raises(InputError):
+            Coloring(n, color_of)

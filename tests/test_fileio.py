@@ -46,17 +46,19 @@ class TestEdgeText:
 
     def test_messages_give_physical_line_numbers(self):
         text = "kind=graph n=3\n# comment\n\n0 1\n0 0\n"
-        with pytest.raises(InputError, match=r"^<text>:5: repeated vertex"):
+        with pytest.raises(InputError, match=r"^<text>:5: loop at vertex 0$"):
             loads_edge_text(text)
-        with pytest.raises(InputError, match=r"^<text>:4: non-integer vertex id"):
+        with pytest.raises(InputError, match=r"^<text>:4: non-integer vertex id 'x'$"):
             loads_edge_text("# head\nkind=3graph n=4\n\n0 1 x\n")
-        with pytest.raises(InputError, match=r"^g.edges:6: duplicate edge"):
+        with pytest.raises(InputError, match=r"^g.edges:6: duplicate edge \(0, 1\)$"):
             loads_edge_text("kind=graph n=3\n0 1\n\n\n# c\n1 0\n", "g.edges")
 
     def test_out_of_range_ids_give_file_and_line(self):
-        with pytest.raises(InputError, match=r"^g.edges:4: vertex 3 out of range for n=3$"):
+        with pytest.raises(InputError, match=r"^g.edges:4: edge \(0, 3\) out of range for n=3$"):
             loads_edge_text("kind=graph n=3\n\n# c\n0 3\n", "g.edges")
-        with pytest.raises(InputError, match=r"^h.edges:3: vertex -1 out of range for n=4$"):
+        with pytest.raises(
+            InputError, match=r"^h.edges:3: triple \(-1, 1, 2\) out of range for n=4$"
+        ):
             loads_edge_text("kind=3graph n=4\n0 1 2\n-1 1 2\n", "h.edges")
 
     def test_negative_vertex_count_gives_file(self):
@@ -130,9 +132,13 @@ class TestEdgeJson:
         assert loads_edge_text("kind=graph n=1000000\n0 1\n").n == 10**6
 
     def test_out_of_range_ids_and_negative_counts_give_file(self):
-        with pytest.raises(InputError, match=r"^g.json: edge \[0, -1\]: vertex -1 out of range"):
+        with pytest.raises(
+            InputError, match=r"^g.json: edges\[1\]: edge \(0, -1\) out of range for n=3$"
+        ):
             loads_edge_json('{"kind":"graph","n":3,"edges":[[0,1],[0,-1]]}', "g.json")
-        with pytest.raises(InputError, match=r"^g.json: edge \[0, 1, 5\]: vertex 5 out of range"):
+        with pytest.raises(
+            InputError, match=r"^g.json: edges\[0\]: triple \(0, 1, 5\) out of range for n=5$"
+        ):
             loads_edge_json('{"kind":"3graph","n":5,"edges":[[0,1,5]]}', "g.json")
         with pytest.raises(InputError, match=r"^g.json: vertex count must be nonnegative$"):
             loads_edge_json('{"kind":"graph","n":-2,"edges":[]}', "g.json")
@@ -185,3 +191,39 @@ class TestColoringFormat:
             loads_coloring(text)
         with pytest.raises(InputError, match=r"^<coloring>:4: expected 'u v w c'"):
             loads_coloring("n=4\n\n# c\n0 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (loads_edge_text, "kind=3graph n=4\n0 1 2\n\n0 1\n", "f:4: triple (0, 1) must have 3 vertices"),
+        (loads_edge_text, "kind=graph n=4\n0 1\n2 2\n", "f:3: loop at vertex 2"),
+        (
+            loads_edge_json,
+            '{"kind":"graph","n":3,"edges":[[0,1],["0",2]]}',
+            "f: edges[1]: edge ('0', 2) has a vertex id that is not an integer",
+        ),
+        (
+            loads_edge_json,
+            '{"kind":"3graph","n":4,"edges":[[0,1,2],7]}',
+            "f: edges[1]: triple 7 is not a sequence of vertex ids",
+        ),
+        (
+            loads_edge_json,
+            '{"kind":"3graph","n":4,"edges":[[0,1,3],[0,1,2],[2,1,0]]}',
+            "f: edges[2]: duplicate edge (0, 1, 2)",
+        ),
+        (loads_coloring, "n=4\n0 1 2 0\n# c\n3 1 3 0\n", "f:4: triple (1, 3, 3) has repeated vertices"),
+        (loads_coloring, "n=4\n0 1 2 0\n0 1 4 0\n", "f:3: triple (0, 1, 4) out of range for n=4"),
+        (loads_coloring, "n=4\n0 1 2 0\n", "f: 3 triples missing (first (0, 1, 3))"),
+    ],
+    ids=[
+        "text-arity", "text-loop", "json-string-id", "json-not-a-list", "json-duplicate",
+        "coloring-repeated-vertex", "coloring-out-of-range", "coloring-missing",
+    ],
+)
+def test_rejected_rows_are_located(loader, text, message):
+    # the constructors decide what a bad edge is; the loaders say where it is
+    with pytest.raises(InputError) as info:
+        loader(text, "f")
+    assert str(info.value) == message

@@ -427,6 +427,13 @@ class TestEnumeration:
                 code, relabeled = tree_canonical(tree)
                 assert relabeled.edges == tree.edges
 
+    def test_pinned_labelled_edge_lists(self):
+        # the labels, not only the classes: trees reach reports and
+        # certificates through these edge lists
+        rows = [[t.edge_list() for t in enumerate_trees(n)] for n in range(1, 11)]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == "6e22629481b28183"
+
     def test_range_check(self):
         with pytest.raises(InputError):
             enumerate_trees(0)
