@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .errors import InputError
-from .structures import Graph, Triple, TripleSystem, _is_int, sorted_triple
+from .structures import Graph, Triple, TripleSystem, _check_n, _is_int, sorted_triple
 
 
 def expansion(base: Graph) -> TripleSystem:
@@ -53,6 +53,7 @@ def _check_apexes(n: int, t: int) -> None:
 
 def s_construction(n: int, t: int) -> TripleSystem:
     """All triples of [n] meeting the apex set {0..t-1}."""
+    _check_n(n)
     _check_apexes(n, t)
     triples = [e for e in itertools.combinations(range(n), 3) if e[0] < t]
     return TripleSystem(n, triples)
@@ -77,8 +78,7 @@ def balanced_bipartite(m: int, plus: bool = False) -> Graph:
     """Complete bipartite graph with parts floor(m/2), ceil(m/2) (smaller
     part first); with plus=True one extra edge joins the two lowest ids of
     the smaller part."""
-    if m < 0:
-        raise InputError("vertex count must be nonnegative")
+    _check_n(m)
     small = m // 2
     edges = [(u, v) for u in range(small) for v in range(small, m)]
     if plus:
@@ -91,6 +91,7 @@ def balanced_bipartite(m: int, plus: bool = False) -> Graph:
 def s_graph(n: int, t: int, plus: bool = False) -> Graph:
     """Clique on t apexes joined to a balanced bipartite graph on n-t
     vertices (with the extra edge when plus)."""
+    _check_n(n)
     _check_apexes(n, t)
     clique = Graph(t, itertools.combinations(range(t), 2))
     return join(clique, balanced_bipartite(n - t, plus=plus))
@@ -149,6 +150,7 @@ class Coloring:
 
 def constant_coloring(n: int) -> Coloring:
     """One color for every triple."""
+    _check_n(n)
     return Coloring(n, {t: 0 for t in itertools.combinations(range(n), 3)})
 
 

@@ -8,9 +8,9 @@ formats.  JSON mirror:
 list `u v w c` for every triple of [n].  The loaders check syntax and
 repeated edges; `Graph`, `TripleSystem` and `Coloring` reject a bad edge,
 triple or color, and the loaders prefix that message with the file and
-line or JSON index: `g.edges:4: edge (0, 3) out of range for n=3`.  Every
-loader rejects a vertex count below 0 or above 10^6 before allocating
-anything for it.
+line or JSON index: `g.edges:4: edge (0, 3) out of range for n=3`.  The
+constructors also own the vertex-count limit of 10^6, for files as for
+certificates, builders and library calls; a loader checks a count's syntax.
 """
 
 from __future__ import annotations
@@ -21,16 +21,14 @@ from pathlib import Path
 
 from .builders import Coloring
 from .errors import InputError
-from .structures import Graph, TripleSystem, _is_int, sorted_triple
-
-# graphs and triple systems keep per-vertex tables and the coloring check
-# takes combinations of range(n), so a loaded vertex count is bounded
-_MAX_VERTICES = 10**6
+from .structures import Graph, TripleSystem, sorted_triple
 
 # ids and counts in text files are ASCII decimal integers; int() alone would
 # also take "1_2" (as 12), "+1" and non-ASCII digits such as "١"
 _DECIMAL = re.compile(r"-?[0-9]+")
 _DECIMAL_ROW = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
+# int() refuses more digits than sys.get_int_max_str_digits() (4,300 by default)
+_TOO_LONG = "integer with too many digits"
 
 
 def _parse_header(line: str, path: str) -> tuple[str, int]:
@@ -42,18 +40,17 @@ def _parse_header(line: str, path: str) -> tuple[str, int]:
     kind = fields["kind"]
     if kind not in ("graph", "3graph"):
         raise InputError(f"{path}: unknown kind {kind!r}")
-    if not _DECIMAL.fullmatch(fields["n"]):
-        raise InputError(f"{path}: bad vertex count {fields['n']!r}")
-    n = int(fields["n"])
-    _check_vertex_count(n, path)
-    return kind, n
+    return kind, _count(fields["n"], path, f"bad vertex count {fields['n']!r}")
 
 
-def _check_vertex_count(n: int, path: str) -> None:
-    if n < 0:
-        raise InputError(f"{path}: vertex count must be nonnegative")
-    if n > _MAX_VERTICES:
-        raise InputError(f"{path}: vertex count {n} exceeds the limit {_MAX_VERTICES}")
+def _count(field: str, path: str, bad: str) -> int:
+    """A vertex count's syntax; its range is the constructors' to check."""
+    if not _DECIMAL.fullmatch(field):
+        raise InputError(f"{path}: {bad}")
+    try:
+        return int(field)
+    except ValueError:
+        raise InputError(f"{path}: {_TOO_LONG}") from None
 
 
 def _structure(kind: str, n: int, rows: list, where, path: str) -> Graph | TripleSystem:
@@ -80,6 +77,10 @@ def _located(exc: InputError, build, n: int, rows: list, where, path: str) -> In
     """exc, raised by build(n, rows), prefixed by where(i) for the first row
     that build(n, [row]) rejects: rows are checked in order, so that row is
     the one exc is about.  An exc that no row causes gets the bare path."""
+    try:
+        build(n, ())
+    except InputError:  # the count fails every row's build: blame no row
+        rows = ()
     for i, row in enumerate(rows):
         try:
             build(n, [row])
@@ -96,11 +97,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _text_rows(lines: list[tuple[int, str]], path: str) -> list[tuple[int, ...]]:
+    rows = []
     for lineno, line in lines:
         if not _DECIMAL_ROW.fullmatch(line):
             bad = next((p for p in line.split() if not _DECIMAL.fullmatch(p)), line)
             raise InputError(f"{path}:{lineno}: non-integer vertex id {bad!r}")
-    return [tuple(map(int, line.split())) for _, line in lines]
+        try:
+            rows.append(tuple(map(int, line.split())))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: {_TOO_LONG}") from None
+    return rows
 
 
 def loads_edge_text(text: str, path: str = "<text>") -> Graph | TripleSystem:
@@ -136,9 +142,6 @@ def loads_edge_json(text: str, path: str = "<json>") -> Graph | TripleSystem:
     kind, n, edges = data["kind"], data["n"], data["edges"]
     if kind not in ("graph", "3graph"):
         raise InputError(f"{path}: unknown kind {kind!r}")
-    if not _is_int(n):
-        raise InputError(f"{path}: vertex count must be an integer, got {n!r}")
-    _check_vertex_count(n, path)
     if not isinstance(edges, list):
         raise InputError(f"{path}: edges must be a list")
     return _structure(kind, n, edges, lambda i: f"{path}: edges[{i}]", path)
@@ -193,10 +196,7 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
     lines = _content_lines(text)
     if not lines or not lines[0][1].startswith("n="):
         raise InputError(f"{path}: first line must be n=<N>")
-    if not _DECIMAL.fullmatch(lines[0][1][2:]):
-        raise InputError(f"{path}: bad n")
-    n = int(lines[0][1][2:])
-    _check_vertex_count(n, path)
+    n = _count(lines[0][1][2:], path, "bad n")
     color_of = {}
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -204,7 +204,10 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
             raise InputError(f"{path}:{lineno}: expected 'u v w c'")
         if not _DECIMAL_ROW.fullmatch(line):
             raise InputError(f"{path}:{lineno}: non-integer field")
-        u, v, w, c = map(int, parts)
+        try:
+            u, v, w, c = map(int, parts)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: {_TOO_LONG}") from None
         t = sorted_triple(u, v, w)
         if t in color_of:
             raise InputError(f"{path}:{lineno}: duplicate triple {t}")

@@ -419,7 +419,7 @@ class ClosenessReport:
 
 def _candidate_sets(n: int, t: int, delta: float, degree_of) -> list[tuple[int, ...]]:
     """The t-subsets of [n], highest degree sums first, those inside the
-    t + ceil(1/delta) highest-degree vertices before the rest."""
+    t + min(ceil(1/delta), n) highest-degree vertices before the rest."""
     if not 0 < delta < 0.5:
         raise InputError("delta must lie in (0, 1/2)")
     if t < 0:
@@ -427,7 +427,7 @@ def _candidate_sets(n: int, t: int, delta: float, degree_of) -> list[tuple[int, 
     if t > n:
         raise InputError("t exceeds the vertex count")
     ranked = sorted(range(n), key=lambda v: (-degree_of(v), v))
-    pool = set(ranked[: t + math.ceil(1 / delta)])
+    pool = set(ranked[: t + math.ceil(min(1 / delta, n))])
     return sorted(
         itertools.combinations(range(n), t),
         key=lambda L: (not pool.issuperset(L), -sum(degree_of(v) for v in L), L),

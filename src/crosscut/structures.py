@@ -18,6 +18,9 @@ from .errors import InputError
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 
+# structures keep per-vertex tables and colorings take combinations of range(n)
+_MAX_VERTICES = 10**6
+
 
 def sorted_pair(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
@@ -34,8 +37,12 @@ def _is_int(x: object) -> bool:
 
 
 def _check_n(n: object) -> None:
-    if not (_is_int(n) and n >= 0):
-        raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
+    if not _is_int(n):
+        raise InputError(f"vertex count must be an integer, got {n!r}")
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    if n > _MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
 def _bad_edge(edge: object, n: int, arity: int) -> InputError:
@@ -74,7 +81,9 @@ class Graph:
 
     The edge-list view (`edges`, a frozenset of sorted pairs) and the
     adjacency view (`adj`, per-vertex bitmasks) are built together and always
-    agree.  No loops, no duplicate edges, endpoints < n.
+    agree.  No loops, no duplicate edges, endpoints < n, and n at most
+    10^6: the constructors own that limit, so files, certificates, builders
+    and library calls all meet it.
     """
 
     __slots__ = ("n", "edges", "adj")
@@ -213,9 +222,9 @@ class Graph:
 class TripleSystem:
     """3-uniform set system on vertices 0..n-1.
 
-    `edges` is a frozenset of sorted triples.  The pair-codegree index (pair
-    -> bitmask of third vertices) is built eagerly at construction and never
-    mutated.
+    `edges` is a frozenset of sorted triples, and n is at most 10^6 as for
+    `Graph`.  The pair-codegree index (pair -> bitmask of third vertices) is
+    built eagerly at construction and never mutated.
     """
 
     __slots__ = ("n", "edges", "pair_nbr", "_deg")

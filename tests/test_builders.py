@@ -226,3 +226,26 @@ class TestColoring:
 
         with pytest.raises(InputError):
             Coloring(n, color_of)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: s_construction(n, 1),
+        lambda n: s_graph(n, 1),
+        lambda n: sbi_construction(n, 1),
+        balanced_bipartite,
+        constant_coloring,
+    ],
+    ids=["s", "s-graph", "sbi", "bipartite", "constant-coloring"],
+)
+@pytest.mark.parametrize("n", [-1, 10**6 + 1, 2**70])
+def test_builders_check_the_vertex_count_before_enumerating(build, n):
+    with pytest.raises(InputError, match=r"^vertex count "):
+        build(n)
+
+
+def test_closed_forms_take_any_vertex_count():
+    n = 2**70
+    assert s_size(n, 1) == math.comb(n - 1, 2)
+    assert sbi_size(n, 1) == (n - 1) // 2 * (n // 2)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -364,6 +365,53 @@ def test_turan_corrupted_cache_is_recomputed(files, capsys, tmp_path, corrupt):
 def test_negative_sizes_exit_5(files, argv):
     argv = [str(files / a) if a.endswith(".edges") else a for a in argv]
     assert main(argv) == 5
+
+
+def _certificate_with_pattern_n(files, n):
+    cert = files / "cert.json"
+    main(["contains", "--pattern-kind", "expansion", "--pattern", str(files / "p3.edges"),
+          "--host", str(files / "p3_expansion.edges"), "--certificate", str(cert)])
+    data = json.loads(cert.read_text())
+    data["embedding"]["pattern"]["n"] = n
+    cert.write_text(json.dumps(data))
+    return cert
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--certificate", "CERT", "--host", "p3_expansion.edges"],
+        ["construct", "s", "--n", "BIG", "--t", "1", "--out", "out.edges"],
+        ["construct", "sbi", "--n", "BIG", "--t", "1", "--out", "out.edges"],
+        ["anti-ramsey", "--tree", "p3.edges", "--aug", "c4.edges", "--n", "BIG"],
+    ],
+    ids=["check", "construct-s", "construct-sbi", "anti-ramsey"],
+)
+def test_vertex_counts_past_the_limit_exit_5(files, capsys, argv):
+    # every path that builds a structure meets the constructors' limit of 10^6
+    (files / "c4.edges").write_text("kind=graph n=4\n0 1\n1 2\n2 3\n0 3\n")
+    cert = _certificate_with_pattern_n(files, 2**70)
+    names = {"CERT": str(cert), "BIG": str(2**70)}
+    argv = [names.get(a, str(files / a) if a.endswith(".edges") else a) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 5
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "mode, value",
+    [
+        ("hypergraph", math.comb(2**70 - 1, 2)),
+        ("triangles", (2**70 - 1) // 2 * (2**70 // 2)),
+    ],
+)
+def test_turan_lower_only_takes_any_vertex_count(files, capsys, mode, value):
+    # the lower bound is a closed form, so no structure is built
+    argv = ["turan", "--mode", mode, "--n", str(2**70), "--pattern",
+            str(files / "p3.edges"), "--lower-only"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["n"], result["value"], result["exhaustive"]) == (2**70, value, False)
 
 
 def test_verify_cli(files, capsys):

@@ -193,6 +193,25 @@ class TestColoringFormat:
             loads_coloring("n=4\n\n# c\n0 1 2\n")
 
 
+LONG = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "loader, text, where",
+    [
+        (loads_edge_text, f"kind=graph n={LONG}\n", "f"),
+        (loads_edge_text, f"kind=graph n=3\n0 1\n# c\n0 {LONG}\n", "f:4"),
+        (loads_coloring, f"n={LONG}\n", "f"),
+        (loads_coloring, f"n=4\n0 1 2 0\n\n0 1 3 {LONG}\n", "f:4"),
+    ],
+    ids=["text-count", "text-id", "coloring-count", "coloring-field"],
+)
+def test_over_long_integers_are_input_errors(loader, text, where):
+    with pytest.raises(InputError) as info:
+        loader(text, "f")
+    assert str(info.value) == f"{where}: integer with too many digits"
+
+
 @pytest.mark.parametrize(
     "loader, text, message",
     [

@@ -2,9 +2,10 @@
 or raise InputError, and `crosscut check` exits 0, 3 or 5 on any
 certificate file.
 
-Ids are drawn from a small range; vertex counts also reach the loaders'
-limit of 10^6 and go past it, where they must be rejected before any
-per-vertex table is allocated.
+Ids are drawn from a small range; vertex counts also reach the limit of
+10^6 that the constructors enforce and go past it, in files and in
+certificates alike, where they must be rejected before any per-vertex table
+is allocated.  Text files also get literals longer than int() converts.
 """
 
 import copy
@@ -39,7 +40,7 @@ counts = small_ints | st.integers(10**6 - 2, 10**6 + 2) | st.integers(10**6, 2**
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-1000, 1000),
+    st.integers(-1000, 1000) | counts,
     st.floats(allow_nan=False, allow_infinity=False),
     st.text(max_size=5),
 )
@@ -50,7 +51,8 @@ json_values = st.recursive(
     max_leaves=12,
 )
 tokens = st.one_of(
-    small_ints.map(str), st.sampled_from(["x", "-", "1.5", "#", "=", "n=", "0x1"])
+    small_ints.map(str),
+    st.sampled_from(["x", "-", "1.5", "#", "=", "n=", "0x1", "1" * 5000]),
 )
 token_lines = st.lists(
     st.lists(tokens, max_size=5).map(" ".join), max_size=8

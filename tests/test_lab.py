@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from crosscut import lab
-from crosscut.builders import s_construction, s_graph, s_size
+from crosscut.builders import balanced_bipartite, s_construction, s_graph, s_size
 from crosscut.config import SearchBudget
 from crosscut.errors import BudgetExceededError, InputError
 from crosscut.lab import (
@@ -492,6 +492,18 @@ class TestCloseness:
     def test_delta_validation(self):
         with pytest.raises(InputError):
             hypergraph_closeness(TripleSystem(5, []), 1, 0.7)
+
+    def test_subnormal_delta_pools_every_vertex(self):
+        # 1 / 5e-324 overflows to inf; like 1 / 1e-9 it exceeds n, so every
+        # vertex is in the pool
+        g = balanced_bipartite(8)
+        tiny, small = (graph_closeness(g, 0, d) for d in (5e-324, 1e-9))
+        assert tiny is not None and small is not None
+        assert tiny.removed == small.removed == ()
+        h = s_graph(12, 2)
+        assert lab._candidate_sets(12, 2, 5e-324, h.degree) == lab._candidate_sets(
+            12, 2, 1e-9, h.degree
+        )
 
 
 class TestBipartization:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscut.builders import s_construction
+from crosscut.builders import Coloring, s_construction
 from crosscut.errors import InputError
 from crosscut.structures import (
     CommonPair,
@@ -80,12 +80,28 @@ def test_malformed_edges_raise_input_error(message, edge, triple):
         TripleSystem(5, [(1, 2, 3), triple])
 
 
-@pytest.mark.parametrize("n", [-1, 2.0, "5", True, None])
+@pytest.mark.parametrize("n", [-1, 2.0, "5", True, None, 10**6 + 1, 2**70])
 def test_bad_vertex_counts_raise_input_error(n):
     with pytest.raises(InputError, match="vertex count"):
         Graph(n)
     with pytest.raises(InputError, match="vertex count"):
         TripleSystem(n)
+    with pytest.raises(InputError, match="vertex count"):
+        Coloring(n, {})
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("5", "vertex count must be an integer, got '5'"),
+        (-1, "vertex count must be nonnegative"),
+        (10**6 + 1, "vertex count 1000001 exceeds the limit 1000000"),
+    ],
+)
+def test_vertex_count_messages(n, message):
+    with pytest.raises(InputError) as info:
+        Graph(n)
+    assert str(info.value) == message
 
 
 def test_repeated_vertex_is_reported_before_out_of_range():
