@@ -52,10 +52,11 @@ def _check_apexes(n: int, t: int) -> None:
 
 
 def s_construction(n: int, t: int) -> TripleSystem:
-    """All triples of [n] meeting the apex set {0..t-1}."""
+    """All triples of [n] meeting the apex set {0..t-1}, in sorted order:
+    each apex a with the pairs above it (no other triple is visited)."""
     _check_n(n)
     _check_apexes(n, t)
-    triples = [e for e in itertools.combinations(range(n), 3) if e[0] < t]
+    triples = [(a, b, c) for a in range(t) for b, c in itertools.combinations(range(a + 1, n), 2)]
     return TripleSystem(n, triples)
 
 

@@ -428,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("budget exceeded: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

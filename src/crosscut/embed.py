@@ -9,6 +9,7 @@ along the DFS, so the decision never depends on greedy slack.  A slot takes
 an unheld vertex at once (a held-vertex mask); alternating paths run only
 when all its candidates are held.  The canonical assignment is derived from
 the matching at the leaf; partial-copy completion uses the same matcher.
+The same DFS, rooted at a host triple, finds the copies through it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .builders import Coloring, triangle_system
 from .config import SearchBudget
 from .errors import HypothesisError, InputError
 from .structures import Graph, Pair, TripleSystem, _is_int, _mask_vertices, sorted_pair
+from .symmetry import twin_ids
 from .trees import crosscut_number, cycle_graph, path_graph
 
 
@@ -236,13 +238,14 @@ def _lex_least_sdr(masks: list[int]) -> list[int] | None:
 # expansion search
 
 
-def _embedding_order(pattern: Graph) -> list[int]:
+def _embedding_order(pattern: Graph, edge: Pair | None = None) -> list[int]:
     """Decreasing degree with id tie-break, adjusted so each vertex follows
-    a placed neighbor whenever the pattern is connected so far."""
+    a placed neighbor whenever the pattern is connected so far; a root
+    edge (a, b) puts a and b first."""
     key = lambda v: (-pattern.degree(v), v)
-    placed: set[int] = set()
-    remaining = set(range(pattern.n))
-    order: list[int] = []
+    order: list[int] = list(edge or ())
+    placed = set(order)
+    remaining = set(range(pattern.n)) - placed
     while remaining:
         adjacent = [
             v
@@ -258,13 +261,14 @@ def _embedding_order(pattern: Graph) -> list[int]:
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(pattern: Graph) -> tuple:
-    """find_expansion's pattern-only set-up, built once per pattern (a
-    Graph is immutable and hashed by value): each vertex's depth in
+def _plan(pattern: Graph, edge: Pair | None = None) -> tuple:
+    """The DFS's pattern-only set-up, built once per pattern and root edge
+    (a Graph is immutable and hashed by value): each vertex's depth in
     `_embedding_order`, back[i] the depths of the placed neighbours of the
     vertex at depth i (the edge to each is completed at depth i and gets
-    slot first_slot[i] + j), the sorted pattern edges and their slots."""
-    order = _embedding_order(pattern)
+    slot first_slot[i] + j), the sorted pattern edges and their slots.  A
+    root edge takes depths 0 and 1 and slot 0."""
+    order = _embedding_order(pattern, edge)
     pos = [0] * pattern.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -305,6 +309,17 @@ def find_expansion(
     the matching it holds.  Package callers keep the default; the
     benchmark's tracer still passes it positionally.
     """
+    return _search(host, pattern, _plan(pattern), deterministic, budget)
+
+
+def _search(
+    host: TripleSystem, pattern: Graph, plan: tuple, deterministic: bool,
+    budget: SearchBudget | None, root: tuple[int, int, int] | None = None,
+) -> Embedding | None:
+    """find_expansion's DFS along a `_plan`.  A root (x, y, z) puts the
+    plan's root edge (a, b) on x and y with completion z: the DFS starts at
+    depth 1 with the one candidate y and stops there, and finds exactly the
+    copies that complete (a, b) by the triple {x, y, z}."""
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
     m = len(pattern.edges)
@@ -315,7 +330,7 @@ def find_expansion(
     for a, b in pair_nbr:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    pos, back, first_slot, pat_edges, edge_slot = _plan(pattern)
+    pos, back, first_slot, pat_edges, edge_slot = plan
     last = pattern.n - 1
     full = (1 << host.n) - 1
     hs = [0] * pattern.n  # host image of order[i]
@@ -331,11 +346,20 @@ def find_expansion(
     core = 0
     held = 0  # vertices some slot holds; never meets the core
     cands[0] = full
-    saved[0] = (match[:], owner[:])
+    if root is not None:
+        x, y, z = root
+        pair = (x, y) if x < y else (y, x)
+        if not pair_nbr.get(pair, 0) >> z & 1:
+            return None  # not a host triple
+        pair_nbr = {**pair_nbr, pair: 1 << z}
+        hs[0], core, i = x, 1 << x, 1
+        cands[1] = 1 << y
+    bottom = i
+    saved[i] = (match[:], owner[:])
     while True:
         cand = cands[i]
         if not cand:
-            if i == 0:
+            if i == bottom:
                 return None
             i -= 1
             core ^= 1 << hs[i]
@@ -425,6 +449,35 @@ def find_blowup(
     if emb is None:
         return None
     return replace(emb, host_kind="graph")
+
+
+@functools.lru_cache(maxsize=32)
+def _edge_orbits(pattern: Graph) -> tuple:
+    """The first edge (a, b) of each orbit of the pattern's twin symmetry
+    (edges whose ends have the same sorted twin ids), and whether a and b
+    are twins."""
+    twin = twin_ids(pattern.n, pattern.edges)
+    firsts = {}
+    for a, b in pattern.edge_list():
+        firsts.setdefault(tuple(sorted((twin[a], twin[b]))), (a, b, twin[a] == twin[b]))
+    return tuple(firsts.values())
+
+
+def expansion_through(host: TripleSystem, pattern: Graph, triples) -> bool:
+    """Whether the pattern's expansion has a copy in the host that completes
+    some pattern edge by one of the given triples (so, when the host less
+    them is free, whether the host is not).  The DFS is rooted at each
+    ordering (x, y, z) of each triple and the first edge (a, b) of each
+    edge orbit: twin transpositions generate the symmetric group on each
+    twin class, so an automorphism maps (a, b) onto any edge of its orbit,
+    and when a and b are twins, (a b) is one, so x < y suffices."""
+    for a, b, twins in _edge_orbits(pattern):
+        plan = _plan(pattern, (a, b))
+        for triple in triples:
+            for x, y, z in itertools.permutations(triple):
+                if (x < y or not twins) and _search(host, pattern, plan, False, None, (x, y, z)):
+                    return True
+    return False
 
 
 # ---------------------------------------------------------------------------

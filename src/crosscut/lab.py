@@ -21,12 +21,14 @@ from .builders import (
     s_graph,
     s_size,
     sbi_size,
+    triangle_system,
 )
 from .config import DEFAULT_MAX_NODES, SearchBudget
 from .errors import BudgetExceededError, InputError
 from .embed import (
     RainbowCertificate,
     _pattern_from_pairs,
+    expansion_through,
     find_blowup,
     find_expansion,
     find_rainbow_expansion,
@@ -34,6 +36,7 @@ from .embed import (
 from .structures import (
     Graph,
     TripleSystem,
+    _mask_vertices,
     matching_le1_structure,
     two_intersecting_structure,
     MatchingAtLeastTwo,
@@ -44,7 +47,7 @@ from .structures import (
     TriangleClass,
     EmptyClass,
 )
-from .symmetry import canonical_edge_key, twin_ids
+from .symmetry import canonical_edge_key, key_and_twins
 from .trees import (
     analyze_tree,
     crosscut_value,
@@ -130,42 +133,42 @@ def _levelwise_max(
     same key.  Only the first item of a signature is keyed, as a later one
     would have met its key in nxt and been skipped.
 
-    is_free runs once per isomorphism class per level.  The first child of
-    each signature is keyed before it is searched, and its verdict is
-    shared through one dict per level keyed by canonical_edge_key.  The key
-    is a complete invariant (equal keys iff isomorphic families), and
-    freeness of F^3 or of F's triangle blowup is invariant under
-    isomorphism, so a stored verdict is the one is_free would return.  All
-    children of one level have the same size, so their keys never meet a
-    later level's and the dict is dropped when the level ends.
+    is_free(current | {it}, it), which may assume current free, runs once
+    per isomorphism class per level.  The first child of each signature is
+    keyed before it is searched, and its verdict is shared through one dict
+    per level keyed by its canonical key.  The key is a complete invariant
+    (equal keys iff isomorphic families), and freeness of F^3 or of F's
+    triangle blowup is invariant under isomorphism, so a stored verdict is
+    the one is_free would return.  All children of one level have the same
+    size, so their keys never meet a later level's and the dict is dropped
+    when the level ends.
 
     Each labelled child is keyed once per level: a second dict maps the
-    child's item bitmask (bit i for all_items[i]) to its key, so a family
-    reached from several parents is not keyed again.  Int masks keep the
-    dict smaller than frozensets would.  The empty family is keyed once,
-    for the first level and the first witness set.
+    child's item bitmask (bit i for all_items[i]) to its key and twin ids,
+    so a family reached from several parents is not keyed again.  Int masks
+    keep the dict smaller than frozensets would.  The empty family, whose
+    vertices are all twins, is keyed once.
 
     Returns (best objective, canonical witness keys, node count).
     """
     bits = {it: 1 << i for i, it in enumerate(all_items)}
     empty: frozenset = frozenset()
     empty_key = canonical_edge_key(n, empty)
-    level: dict[tuple, tuple[frozenset, int, list]] = {empty_key: (empty, 0, all_items)}
+    level: dict[tuple, tuple] = {empty_key: (empty, 0, all_items, [0] * n)}
     best = objective(empty)
     witnesses = {empty_key}
     if seed_value > best:
         best = seed_value
         witnesses = set()
     while level:
-        nxt: dict[tuple, tuple[frozenset, int, list]] = {}
-        keys: dict[int, tuple] = {}  # item bitmask -> canonical key, this level
+        nxt: dict[tuple, tuple] = {}
+        keys: dict[int, tuple] = {}  # item bitmask -> (canonical key, twin ids), this level
         verdict: dict[tuple, bool] = {}  # canonical key -> freeness, this level
-        for current, mask, candidates in level.values():
+        for current, mask, candidates, twin in level.values():
             budget.tick()
-            twin = twin_ids(n, current)
             by_sig: dict[tuple, bool] = {}
             addable = []
-            firsts = []  # (child, bitmask, key) of the first addable item of each signature
+            firsts = []  # (child, bitmask, (key, twins)) of each signature's first addable item
             for it in candidates:
                 if it not in current:
                     sig = tuple(sorted([twin[v] for v in it]))
@@ -173,23 +176,23 @@ def _levelwise_max(
                     if free is None:
                         grown = current | {it}
                         grown_mask = mask | bits[it]
-                        key = keys.get(grown_mask)
-                        if key is None:
-                            key = keys[grown_mask] = canonical_edge_key(n, grown)
-                        free = verdict.get(key)
+                        keyed = keys.get(grown_mask)
+                        if keyed is None:
+                            keyed = keys[grown_mask] = key_and_twins(n, grown)
+                        free = verdict.get(keyed[0])
                         if free is None:
-                            free = verdict[key] = is_free(grown)
+                            free = verdict[keyed[0]] = is_free(grown, it)
                         by_sig[sig] = free
                         if free:
-                            firsts.append((grown, grown_mask, key))
+                            firsts.append((grown, grown_mask, keyed))
                     if free:
                         addable.append(it)
             if objective(current.union(addable)) < best:
                 continue
-            for grown, grown_mask, key in firsts:
+            for grown, grown_mask, (key, twins) in firsts:
                 if key in nxt:
                     continue
-                nxt[key] = (grown, grown_mask, addable)
+                nxt[key] = (grown, grown_mask, addable, twins)
                 val = objective(grown)
                 if val > best:
                     best = val
@@ -216,8 +219,10 @@ def _exact_turan(
     Lower-bound mode reports the construction value alone.  Exhaustive mode
     (n <= 7, budget-checked; 50M nodes when no budget is given) runs orderly
     generation over the arity-subsets of [n], seeded with the construction
-    value when the construction was verified free.  A negative n is an
-    InputError in both modes.
+    value when the construction was verified free.  A pattern whose copies
+    have more than n vertices is in no family: from n = 3 on, the complete
+    family (its own key) alone has the top value, and no search runs.  A
+    negative n is an InputError in both modes.
     """
     if n < 0:
         raise InputError("n must be nonnegative")
@@ -228,12 +233,15 @@ def _exact_turan(
         if n > 7:
             raise BudgetExceededError("exhaustive search supports n <= 7")
         items = list(itertools.combinations(range(n), arity))
-        seed = value if construction_free else 0
-        if budget is None:
-            budget = SearchBudget(DEFAULT_MAX_NODES)
-        value, witness_keys, nodes = _levelwise_max(
-            n, items, is_free, objective, seed, budget
-        )
+        if pattern.n + len(pattern.edges) > n >= 3:
+            value, witness_keys = objective(frozenset(items)), [tuple(items)]
+        else:
+            seed = value if construction_free else 0
+            if budget is None:
+                budget = SearchBudget(DEFAULT_MAX_NODES)
+            value, witness_keys, nodes = _levelwise_max(
+                n, items, is_free, objective, seed, budget
+            )
     return TuranResult(
         n=n,
         pattern=pattern,
@@ -276,8 +284,11 @@ def exact_turan_hypergraph(
                     find_expansion(s_construction(n, t), pattern) is None
                 )
 
-    def is_free(triples: frozenset) -> bool:
-        return find_expansion(TripleSystem(n, triples), pattern) is None
+    def is_free(triples: frozenset, it=None) -> bool:
+        host = TripleSystem(n, triples)
+        if it is None:
+            return find_expansion(host, pattern) is None
+        return not expansion_through(host, pattern, [it])
 
     return _exact_turan(
         n,
@@ -334,8 +345,13 @@ def exact_generalized_turan(
                 find_blowup(s_graph(n, t, plus=plus), pattern) is None
             )
 
-    def is_free(edges: frozenset) -> bool:
-        return find_blowup(Graph(n, edges), pattern) is None
+    def is_free(edges: frozenset, it=None) -> bool:
+        graph = Graph(n, edges)
+        if it is None:
+            return find_blowup(graph, pattern) is None
+        u, v = it
+        new = [(u, v, w) for w in _mask_vertices(graph.adj[u] & graph.adj[v])]
+        return not new or not expansion_through(triangle_system(graph), pattern, new)
 
     def objective(edges: frozenset) -> int:
         return Graph(n, edges).count_triangles()
@@ -417,6 +433,10 @@ class ClosenessReport:
         }
 
 
+def _condition(value, bound, holds: bool) -> dict:
+    return {"value": value, "bound": bound, "holds": holds}
+
+
 def _candidate_sets(n: int, t: int, delta: float, degree_of) -> list[tuple[int, ...]]:
     """The t-subsets of [n], highest degree sums first, those inside the
     t + min(ceil(1/delta), n) highest-degree vertices before the rest."""
@@ -445,19 +465,12 @@ def hypergraph_closeness(
         Lset = set(L)
         outside = sum(1 for e in system.edges if not (set(e) & Lset))
         mindeg = min((system.degree(v) for v in L), default=0)
+        low = (0.5 - delta) * n * n
         cond = {
-            "edges_outside": {
-                "value": outside,
-                "bound": delta * n * n,
-                "holds": outside <= delta * n * n,
-            },
-            "member_degree": {
-                "value": mindeg if L else None,
-                "bound": (0.5 - delta) * n * n,
-                "holds": all(
-                    system.degree(v) >= (0.5 - delta) * n * n for v in L
-                ),
-            },
+            "edges_outside": _condition(outside, delta * n * n, outside <= delta * n * n),
+            "member_degree": _condition(
+                mindeg if L else None, low, all(system.degree(v) >= low for v in L)
+            ),
         }
         if all(c["holds"] for c in cond.values()):
             return ClosenessReport(tuple(L), delta, cond)
@@ -474,27 +487,16 @@ def graph_closeness(graph: Graph, t: int, delta: float) -> ClosenessReport | Non
         triangles = rest.count_triangles()
         edges_outside = len(rest.edges)
         dist, exact = bipartization_distance(rest)
+        low, few, many = (1 - delta) * n, delta * n * n, n * n / 4 - delta * n * n
         cond = {
-            "member_degree": {
-                "value": min((graph.degree(v) for v in L), default=None),
-                "bound": (1 - delta) * n,
-                "holds": all(graph.degree(v) >= (1 - delta) * n for v in L),
-            },
-            "triangles_outside": {
-                "value": triangles,
-                "bound": delta * n * n,
-                "holds": triangles <= delta * n * n,
-            },
-            "edges_outside": {
-                "value": edges_outside,
-                "bound": n * n / 4 - delta * n * n,
-                "holds": edges_outside >= n * n / 4 - delta * n * n,
-            },
-            "bipartization": {
-                "value": dist,
-                "bound": delta * n * n,
-                "holds": dist <= delta * n * n,
-            },
+            "member_degree": _condition(
+                min((graph.degree(v) for v in L), default=None),
+                low,
+                all(graph.degree(v) >= low for v in L),
+            ),
+            "triangles_outside": _condition(triangles, few, triangles <= few),
+            "edges_outside": _condition(edges_outside, many, edges_outside >= many),
+            "bipartization": _condition(dist, few, dist <= few),
         }
         if all(c["holds"] for c in cond.values()):
             return ClosenessReport(tuple(L), delta, cond, exact_bipartization=exact)

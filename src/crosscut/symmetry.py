@@ -5,8 +5,9 @@ The key is the least relabelled edge list over the arrangements of the
 twin groups in each class, found by a depth-first search that prunes a
 partial labelling once a lower bound on its keys reaches the best key
 found.  It serves lab's orderly generation and result cache (lab
-re-exports it).  The module imports nothing from the package, so the
-search modules below lab can use the same classes and twin groups.
+re-exports it), which takes the twin ids from the same refinement.  The
+module imports nothing from the package, so the search modules below lab
+can use the same classes and twin groups.
 """
 
 from __future__ import annotations
@@ -96,23 +97,6 @@ def _partners(n: int, items: list[tuple[int, ...]]) -> tuple[bool, list[list]]:
     return triples, partners
 
 
-def twin_ids(n: int, edges) -> list[int]:
-    """Each vertex's twin-class index: u and w share one iff the
-    transposition (u w) maps the edge set onto itself.  Vertices outside
-    every edge are twins of each other.  Twins share a refinement class, so
-    the classes are the twin groups of the refinement classes, numbered in
-    class order."""
-    triples, partners = _partners(n, [tuple(sorted(e)) for e in edges])
-    ids = [0] * n
-    count = 0
-    for cls in _refined_classes(n, partners, triples):
-        for group in _twin_groups(cls, partners, triples) if len(cls) > 1 else [cls]:
-            for v in group:
-                ids[v] = count
-            count += 1
-    return ids
-
-
 def _edge_codes(items: list, label: list[int], n: int, triples: bool) -> list[int]:
     """The sorted codes of the edges under label: x*n*n + y*n + z for the
     sorted labels (x, y, z) of a triple, x*n + y for a pair."""
@@ -190,9 +174,25 @@ def _least_codes(
 
 
 def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
-    """Minimum relabeled sorted edge tuple over all refinement-respecting
-    permutations; a true canonical form for graphs and 3-graphs (all edges
-    of one size, 2 or 3).
+    """The canonical edge key of `key_and_twins`."""
+    return key_and_twins(n, edges)[0]
+
+
+def twin_ids(n: int, edges) -> list[int]:
+    """The twin ids of `key_and_twins`."""
+    return key_and_twins(n, edges)[1]
+
+
+def key_and_twins(n: int, edges) -> tuple[tuple, list[int]]:
+    """The canonical edge key and each vertex's twin id, from one
+    refinement.  u and w share a twin id iff the transposition (u w) maps
+    the edge set onto itself; vertices outside every edge are twins of each
+    other.  The ids number the twin groups of the refinement classes (see
+    below) in class order.
+
+    The key is the minimum relabeled sorted edge tuple over all
+    refinement-respecting permutations; a true canonical form for graphs
+    and 3-graphs (all edges of one size, 2 or 3).
 
     Any isomorphism preserves the refinement signature of a vertex, so
     relabelings that assign label blocks class by class (classes in their
@@ -229,25 +229,31 @@ def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
     are turned back into tuples.
     """
     items = sorted([tuple(sorted(e)) for e in edges])
-    if not items:
-        return ()
     triples, partners = _partners(n, items)
+    ids = [0] * n
+    count = 0
     label = [0] * n  # the least free label of its block for a vertex not yet labelled
     blocks = []  # (offset, twin groups as stacks) of the classes with several groups
     offset = 0
     for cls in _refined_classes(n, partners, triples):
-        if partners[cls[0]]:
-            groups = _twin_groups(cls, partners, triples) if len(cls) > 1 else [cls]
-            if len(groups) == 1:
-                for j, v in enumerate(cls):
-                    label[v] = offset + j
-            else:
-                for v in cls:
-                    label[v] = offset
-                blocks.append((offset, [group[::-1] for group in groups]))
+        touched = partners[cls[0]]
+        groups = _twin_groups(cls, partners, triples) if touched and len(cls) > 1 else [cls]
+        for group in groups:
+            for v in group:
+                ids[v] = count
+            count += 1
+        if len(groups) > 1:
+            for v in cls:
+                label[v] = offset
+            blocks.append((offset, [group[::-1] for group in groups]))
+        elif touched:
+            for j, v in enumerate(cls):
+                label[v] = offset + j
         offset += len(cls)
+    if not items:
+        return (), ids
     best = _least_codes(items, label, n, triples, blocks, 0, 0, None)
     if triples:
         square = n * n
-        return tuple([(c // square, c // n % n, c % n) for c in best])
-    return tuple([divmod(c, n) for c in best])
+        return tuple([(c // square, c // n % n, c % n) for c in best]), ids
+    return tuple([divmod(c, n) for c in best]), ids

@@ -48,6 +48,28 @@ def _sdr_exists(cands: list[list[int]], i: int, used: set[int]) -> bool:
     )
 
 
+def expansion_through_naive(host: TripleSystem, pattern: Graph, triples) -> bool:
+    """Some copy completes a pattern edge by one of the given triples: all
+    injective core maps crossed with all completion assignments in which
+    one edge's completion is pinned to a triple's third vertex."""
+    pat_edges = pattern.edge_list()
+    if pattern.n + len(pat_edges) > host.n:
+        return False
+    wanted = {frozenset(t) for t in triples}
+    for phi in itertools.permutations(range(host.n), pattern.n):
+        cands = [
+            [w for w in range(host.n) if w not in phi and host.has_triple(phi[u], phi[v], w)]
+            for u, v in pat_edges
+        ]
+        for i, (u, v) in enumerate(pat_edges):
+            for w in cands[i]:
+                if frozenset((phi[u], phi[v], w)) in wanted and _sdr_exists(
+                    cands[:i] + [[w]] + cands[i + 1 :], 0, set()
+                ):
+                    return True
+    return False
+
+
 def lex_least_sdr_naive(masks: list[int]) -> list[int] | None:
     """First system of distinct representatives of the bitmasks in
     lexicographic order (plain backtracking over increasing vertices)."""

@@ -115,6 +115,13 @@ class TestApexSystem:
         with pytest.raises(InputError):
             s_construction(4, 5)
 
+    def test_apex_triples_match_the_filtered_enumeration(self):
+        # the builder lists the apex triples without walking all C(n, 3)
+        for n in range(13):
+            for t in range(n + 1):
+                triples = [e for e in itertools.combinations(range(n), 3) if e[0] < t]
+                assert s_construction(n, t).edges == frozenset(triples)
+
 
 class TestJoinAndBipartite:
     def test_examples(self):

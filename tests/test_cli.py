@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from crosscut import cli
 from crosscut.builders import expansion, lower_bound_coloring, s_construction
 from crosscut.cleaning import cleaning_algorithm
 from crosscut.cli import build_parser, main
@@ -396,6 +397,16 @@ def test_vertex_counts_past_the_limit_exit_5(files, capsys, argv):
     capsys.readouterr()
     assert main(argv) == 5
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_out_of_memory_exits_4(files, capsys, monkeypatch):
+    def exhausted(n, t):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "s_construction", exhausted)
+    argv = ["construct", "s", "--n", "100000", "--t", "1", "--out", str(files / "s.edges")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "budget exceeded: out of memory\n"
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from crosscut.embed import (
     _plan,
     complete_partial_expansion,
     embed_tree_two_sets,
+    expansion_through,
     find_blowup,
     find_expansion,
     find_rainbow_expansion,
@@ -49,6 +50,7 @@ from conftest import random_graph, random_triple_system
 from oracles import (
     contains_expansion_naive,
     contains_subgraph_naive,
+    expansion_through_naive,
     find_expansion_reference,
     lex_least_sdr_naive,
     rainbow_naive,
@@ -235,6 +237,77 @@ class TestFindExpansion:
                 _plan.cache_clear()
                 cold.append(search(host, pat))
         assert warm == cold
+
+
+ANCHOR_PATTERNS = {
+    "P1": path_graph(1),
+    "P3": path_graph(3),
+    "K13": star_graph(3),
+    "C3": cycle_graph(3),
+    "C4": cycle_graph(4),
+    "P2+K2": Graph(5, [(0, 1), (1, 2), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("mode", ["hypergraph", "triangles"])
+@pytest.mark.parametrize("name", list(ANCHOR_PATTERNS))
+def test_search_through_an_item_matches_the_oracle(mode, name):
+    """On a free family F, a copy in F | {it} completes some pattern edge
+    by it (hypergraphs) or by a triangle through it (graphs), so the
+    search rooted there decides F | {it} as the unrooted oracle does."""
+    pattern = ANCHOR_PATTERNS[name]
+    arity = 3 if mode == "hypergraph" else 2
+    rng = random.Random(f"{mode} {name}")
+    need = pattern.n + len(pattern.edges)
+    seen = []
+    for _ in range(6):
+        n = rng.randint(need - 1, need + 1 if arity == 2 else min(need, 8))
+        items = list(itertools.combinations(range(n), arity))
+        rng.shuffle(items)
+        keep = rng.uniform(0.3, 1)
+        family: set = set()
+        for it in items[:36]:
+            grown = family | {it}
+            host = TripleSystem(n, grown) if arity == 3 else triangle_system(Graph(n, grown))
+            if rng.random() < keep and find_expansion(host, pattern) is None:
+                family = grown
+        rest = [it for it in items if it not in family]
+        for it in rng.sample(rest, min(6, len(rest))):
+            if arity == 3:
+                host, through = TripleSystem(n, family | {it}), [it]
+            else:
+                graph = Graph(n, family | {it})
+                host = triangle_system(graph)
+                through = [e for e in host.edges if it[0] in e and it[1] in e]
+            want = find_expansion_reference(host, pattern) is not None
+            assert expansion_through(host, pattern, through) == want, (n, sorted(family), it)
+            seen.append(want)
+    assert set(seen) == ({True} if (mode, name) == ("hypergraph", "P1") else {True, False})
+
+
+def test_search_through_given_triples_matches_brute_force():
+    """On any host, free or not, the rooted search finds exactly the copies
+    that complete some pattern edge by one of the given triples; a triple
+    that is not a host edge completes none."""
+    rng = random.Random(404)
+    paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # three edge orbits, one of twins
+    patterns = [path_graph(3), star_graph(3), cycle_graph(3), ANCHOR_PATTERNS["P2+K2"], paw]
+    answers = []
+    for i in range(60):
+        pattern = patterns[i % len(patterns)]
+        host = random_triple_system(rng, pattern.n + len(pattern.edges), rng.uniform(0.1, 0.45))
+        if not host.edges:
+            continue
+        # every other draw may take triples that are not host edges
+        pool = list(itertools.combinations(range(host.n), 3)) if i % 2 else host.edge_list()
+        triples = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+        want = expansion_through_naive(host, pattern, triples)
+        assert expansion_through(host, pattern, triples) == want, (host.edge_list(), triples)
+        answers.append(want)
+    assert 10 <= sum(answers) <= len(answers) - 10
+    for pattern in patterns:  # each triple of a lone copy completes its own edge
+        host = expansion(pattern)
+        assert all(expansion_through(host, pattern, [t]) for t in host.edges)
 
 
 class TestCompletionMatcher:

@@ -1,12 +1,16 @@
 import hashlib
+import importlib.util
+import inspect
 import itertools
 import json
+import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from crosscut import lab
+from crosscut import embed, lab
 from crosscut.builders import balanced_bipartite, s_construction, s_graph, s_size
 from crosscut.config import SearchBudget
 from crosscut.errors import BudgetExceededError, InputError
@@ -24,8 +28,8 @@ from crosscut.lab import (
     verify_theorem_suite,
 )
 from crosscut.structures import Graph, TripleSystem
-from crosscut.symmetry import twin_ids
-from crosscut.trees import complete_graph, cycle_graph, path_graph, star_graph
+from crosscut.symmetry import key_and_twins, twin_ids
+from crosscut.trees import complete_graph, cycle_graph, enumerate_trees, path_graph, star_graph
 
 from conftest import random_graph
 from oracles import (
@@ -140,7 +144,9 @@ class TestCanonicalKeyMatchesReference:
             assert canonical_graph_key(star_graph(k)) == (k + 1, tuple((i, k) for i in range(k)))
 
 
-def test_twin_ids_match_the_transposition_oracle():
+def test_key_and_twin_ids_match_the_oracles():
+    # one refinement gives both the twin partition of the transposition
+    # oracle and the key of the plain enumeration
     rng = random.Random(1618)
     systems = [(n, []) for n in range(9)]
     systems += [(g.n, g.edges) for g in (star_graph(5), complete_graph(6), cycle_graph(6))]
@@ -154,9 +160,12 @@ def test_twin_ids_match_the_transposition_oracle():
         edges = [e for e in itertools.combinations(range(span), arity) if rng.random() < density]
         systems.append((n, edges))
     for n, edges in systems:
-        ids = twin_ids(n, edges)
+        key, ids = key_and_twins(n, edges)
         least = [min(u for u in range(n) if ids[u] == ids[v]) for v in range(n)]
         assert least == twin_ids_reference(n, edges), (n, sorted(edges))
+        assert (key, ids) == (canonical_edge_key(n, edges), twin_ids(n, edges))
+        if n <= 6:  # the plain enumeration takes seconds on the larger classes of n = 7, 8
+            assert key == canonical_edge_key_reference(n, frozenset(edges)), (n, sorted(edges))
 
 
 TURAN_WORKLOAD = [
@@ -174,7 +183,8 @@ def test_turan_work_counts_are_pinned(monkeypatch):
     child reached from several parents is keyed once, and one search per
     isomorphism class per level answers all children with that key; the
     searches include the construction's freeness check where the problem
-    has a construction."""
+    has a construction.  A graph child whose new edge closes no triangle
+    needs no search."""
     counts = {"searches": 0, "keys": 0}
 
     def counted(name, fn):
@@ -184,16 +194,17 @@ def test_turan_work_counts_are_pinned(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(lab, "find_expansion", counted("searches", lab.find_expansion))
-    monkeypatch.setattr(lab, "find_blowup", counted("searches", lab.find_blowup))
-    monkeypatch.setattr(lab, "canonical_edge_key", counted("keys", lab.canonical_edge_key))
+    for name, fn in [("searches", "find_expansion"), ("searches", "find_blowup"),
+                     ("searches", "expansion_through"), ("keys", "canonical_edge_key"),
+                     ("keys", "key_and_twins")]:
+        monkeypatch.setattr(lab, fn, counted(name, getattr(lab, fn)))
     per_problem = []
     for solve, n, pattern in TURAN_WORKLOAD:
         before = dict(counts)
         solve(n, pattern)
         per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
-    assert per_problem == [(12, 12), (17, 19), (189, 381), (121, 368), (150, 521)]
-    assert (counts["searches"], counts["keys"]) == (489, 1301)
+    assert per_problem == [(12, 12), (17, 19), (189, 381), (43, 368), (59, 521)]
+    assert (counts["searches"], counts["keys"]) == (320, 1301)
 
 
 def test_no_labelled_family_is_keyed_twice_in_one_level(monkeypatch):
@@ -207,12 +218,16 @@ def test_no_labelled_family_is_keyed_twice_in_one_level(monkeypatch):
         runs.append({})
         return fast(n, all_items, is_free, objective, seed_value, budget)
 
-    def keyed(n, edges):
-        runs[-1].setdefault(len(edges), []).append(frozenset(edges))
-        return canonical_edge_key(n, edges)
+    def keyed(fn):
+        def wrapper(n, edges):
+            runs[-1].setdefault(len(edges), []).append(frozenset(edges))
+            return fn(n, edges)
+
+        return wrapper
 
     monkeypatch.setattr(lab, "_levelwise_max", recording)
-    monkeypatch.setattr(lab, "canonical_edge_key", keyed)
+    monkeypatch.setattr(lab, "canonical_edge_key", keyed(canonical_edge_key))
+    monkeypatch.setattr(lab, "key_and_twins", keyed(key_and_twins))
     for solve, n, pattern in TURAN_WORKLOAD:
         solve(n, pattern)
     assert len(runs) == len(TURAN_WORKLOAD)
@@ -232,15 +247,15 @@ def test_no_class_is_searched_twice_in_one_level(monkeypatch):
     def recording(n, all_items, is_free, objective, seed_value, budget):
         keys = []
 
-        def free(family):
+        def free(family, it=None):
             keys.append(canonical_edge_key(n, family))
-            return is_free(family)
+            return is_free(family, it)
 
         runs.append(keys)
         return fast(n, all_items, free, objective, seed_value, budget)
 
     monkeypatch.setattr(lab, "_levelwise_max", recording)
-    for solve, n, pattern in TURAN_WORKLOAD + [(exact_turan_hypergraph, 6, path_graph(3))]:
+    for solve, n, pattern in TURAN_WORKLOAD + [(exact_generalized_turan, 7, path_graph(2))]:
         solve(n, pattern)
     assert len(runs) == 6
     for keys in runs:
@@ -261,21 +276,23 @@ def test_no_class_is_searched_twice_in_one_level(monkeypatch):
     ids=["P1", "P2", "P3", "C3", "K13", "P2+K2"],
 )
 def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
-    """Inherited addable sets, twin-orbit tests and verdicts shared by
-    canonical key leave (best, witnesses, nodes) unchanged, also for
-    patterns with non-trivial automorphisms and a disconnected one."""
-    fast = lab._levelwise_max
+    """Inherited addable sets, twin-orbit tests, searches through the new
+    item and verdicts shared by canonical key leave (best, witnesses,
+    nodes) unchanged, also for patterns with non-trivial automorphisms and
+    a disconnected one.  The drivers' orderly generation runs here for
+    every n, also where they skip it because the pattern cannot fit; the
+    reference calls is_free without the item, so it searches unrooted."""
     runs = []
 
-    def both(n, all_items, is_free, objective, seed_value, budget):
+    def both(n, pattern, exhaustive, budget, value, free, arity, is_free, objective):
+        items = list(itertools.combinations(range(n), arity))
+        seed = (value or 0) if free else 0
         want = levelwise_max_reference(
-            n, all_items, is_free, objective, seed_value, SearchBudget(), canonical_edge_key
+            n, items, is_free, objective, seed, SearchBudget(), canonical_edge_key
         )
-        got = fast(n, all_items, is_free, objective, seed_value, budget)
-        runs.append((got, want))
-        return got
+        runs.append((lab._levelwise_max(n, items, is_free, objective, seed, SearchBudget()), want))
 
-    monkeypatch.setattr(lab, "_levelwise_max", both)
+    monkeypatch.setattr(lab, "_exact_turan", both)
     for n in range(3, top + 1):
         solve(n, pattern)
     assert len(runs) == top - 2
@@ -307,7 +324,8 @@ class TestPinnedTuranAnswers:
         assert (result.value, digest) == (answer["value"], answer["witnesses"])
 
     def test_hypergraph_6_p3(self):
-        # every 3-graph on 6 vertices avoids the 7-vertex expansion of P3
+        # every 3-graph on 6 vertices avoids the 7-vertex expansion of P3,
+        # so the complete one is returned without a search
         assert exact_turan_hypergraph(6, path_graph(3)).to_json() == {
             "n": 6,
             "pattern": [[0, 1], [1, 2], [2, 3]],
@@ -317,7 +335,7 @@ class TestPinnedTuranAnswers:
             "lower_bound_construction_value": 10,
             "construction_free": True,
             "matches_construction": False,
-            "nodes": 2136,
+            "nodes": 0,
         }
 
     def test_triangles_7_p2(self):
@@ -340,6 +358,72 @@ class TestPinnedTuranAnswers:
             "matches_construction": False,
             "nodes": 400,
         }
+
+
+@pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
+def test_trivial_instances_return_the_complete_family(solve):
+    """A tree whose expansion (or blowup) has more than n vertices is in no
+    family on n vertices.  From n = 3 on the complete family is the one
+    family of the top value, C(n, 3), and is reported without a search."""
+    arity = 3 if solve is exact_turan_hypergraph else 2
+    naive = turan_hypergraph_naive if arity == 3 else generalized_turan_naive
+    count = 0
+    for k in range(2, 6):
+        for tree in enumerate_trees(k):
+            for n in range(3, min(k + len(tree.edges), 8)):
+                count += 1
+                lower = solve(n, tree, exhaustive=False).to_json()
+                value = math.comb(n, 3)
+                assert solve(n, tree).to_json() == {
+                    **lower,
+                    "value": value,
+                    "exhaustive": True,
+                    "extremal_witnesses": [
+                        [list(e) for e in itertools.combinations(range(n), arity)]
+                    ],
+                    "matches_construction": None
+                    if lower["lower_bound_construction_value"] is None
+                    else value == lower["lower_bound_construction_value"],
+                    "nodes": 0,
+                }
+                if n <= 4:
+                    assert value == naive(n, tree)
+    assert count == 25
+
+
+@pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
+def test_c4_on_7_vertices_needs_no_search(solve):
+    # C4's expansion and blowup have 8 vertices; the search never ended
+    result = solve(7, cycle_graph(4), budget=SearchBudget(max_nodes=1))
+    assert (result.value, result.nodes) == (35, 0)
+
+
+def test_benchmark_tracer_patch_points_stay():
+    """The benchmark's tracer (bench/spans.py) replaces package functions by
+    name, among them find_expansion and find_blowup on lab and embed and
+    canonical_edge_key on lab, and calls find_expansion(host, pattern,
+    deterministic, budget) positionally: a rename or a new signature breaks
+    traced runs."""
+    for module, name in [(lab, "find_expansion"), (lab, "find_blowup"),
+                         (lab, "canonical_edge_key"), (embed, "find_expansion"),
+                         (embed, "find_blowup")]:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+    params = inspect.signature(embed.find_expansion).parameters
+    assert list(params) == ["host", "pattern", "deterministic", "budget"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    spec = importlib.util.spec_from_file_location("spans", EXPECTED_FILE.parent / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = ("builders", "cleaning", "cli", "config", "embed", "lab", "structures", "trees")
+    cc = SimpleNamespace(**{m: importlib.import_module(f"crosscut.{m}") for m in modules})
+    tracer = spans.Tracer()
+    try:
+        tracer.install(cc)  # every attribute it replaces must exist
+        result = exact_turan_hypergraph(6, path_graph(2))
+    finally:
+        tracer.uninstall()
+    assert lab.find_expansion is embed.find_expansion
+    assert (result.value, tracer.counts["embed.calls"], tracer.counts["lab.canon_calls"]) == (4, 1, 1)
 
 
 class TestExactTuranHypergraph:
