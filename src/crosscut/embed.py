@@ -24,7 +24,7 @@ from .builders import Coloring, triangle_system
 from .config import SearchBudget
 from .errors import HypothesisError, InputError
 from .structures import Graph, Pair, TripleSystem, _is_int, _mask_vertices, sorted_pair
-from .symmetry import twin_ids
+from .symmetry import key_and_twins
 from .trees import crosscut_number, cycle_graph, path_graph
 
 
@@ -456,7 +456,7 @@ def _edge_orbits(pattern: Graph) -> tuple:
     """The first edge (a, b) of each orbit of the pattern's twin symmetry
     (edges whose ends have the same sorted twin ids), and whether a and b
     are twins."""
-    twin = twin_ids(pattern.n, pattern.edges)
+    twin = key_and_twins(pattern.n, pattern.edges)[1]
     firsts = {}
     for a, b in pattern.edge_list():
         firsts.setdefault(tuple(sorted((twin[a], twin[b]))), (a, b, twin[a] == twin[b]))
@@ -508,16 +508,22 @@ def complete_partial_expansion(
     if completion is None:
         return None
     pattern, verts = _pattern_from_pairs(pairs)
-    index = {v: i for i, v in enumerate(verts)}
+    return _certificate(pattern, tuple(verts), completion)
+
+
+def _certificate(
+    pattern: Graph, core_map: tuple[int, ...], completion: Mapping[Pair, int]
+) -> Embedding:
+    """The expansion certificate mapping the pattern by core_map, each
+    pattern edge completed by the vertex `completion` gives its sorted host
+    pair."""
     return Embedding(
         pattern=pattern,
-        core_map=tuple(verts),
-        expansion_map=tuple(
-            sorted(
-                (sorted_pair(index[u], index[v]), completion[(u, v)])
-                for u, v in pairs
-            )
-        ),
+        core_map=core_map,
+        expansion_map=tuple([
+            ((a, b), completion[sorted_pair(core_map[a], core_map[b])])
+            for a, b in pattern.edge_list()
+        ]),
         host_kind="3graph",
     )
 
@@ -716,20 +722,14 @@ def _two_set_recipe(host, tree, pair, s1s, s2s, v1s, v2s, g1, g2):
     for (a, b), s in zip(sorted(r_edges), leftover_apexes):
         pre[sorted_pair(images[a], images[b])] = s
 
-    edges = tree.edge_list()
-    shadow_pairs = [sorted_pair(images[a], images[b]) for a, b in edges]
+    shadow_pairs = [sorted_pair(images[a], images[b]) for a, b in tree.edge_list()]
     try:
         completion = _completion(host, shadow_pairs, pre)
     except InputError:  # a pair outside the shadow, or a repeated pair
         return None
     if completion is None:
         return None
-    return Embedding(
-        pattern=tree,
-        core_map=tuple(images[v] for v in range(tree.n)),
-        expansion_map=tuple((e, completion[p]) for e, p in zip(edges, shadow_pairs)),
-        host_kind="3graph",
-    )
+    return _certificate(tree, tuple(images[v] for v in range(tree.n)), completion)
 
 
 # ---------------------------------------------------------------------------
@@ -787,42 +787,17 @@ def vary_cycle_length(
     out: dict[int, Embedding] = {}
     for ell in lengths:
         k = ell - t
-        seq: list[int] = []
-        for i in range(k):
-            seq += [w[i], x[i]]
-        seq += list(w[k:])
-        if witness.closed:
-            edge_pairs = [
-                sorted_pair(seq[i], seq[(i + 1) % ell]) for i in range(ell)
-            ]
-            pattern = cycle_graph(ell)
-        else:
-            edge_pairs = [sorted_pair(seq[i], seq[i + 1]) for i in range(ell)]
-            pattern = path_graph(ell)
-        pre: dict[Pair, int] = {}
-        for j in range(k, t):
-            pre[sorted_pair(w[j], w[(j + 1) % len(w)])] = x[j]
-        completion = _completion(host, edge_pairs, pre)
+        seq = [v for i in range(k) for v in (w[i], x[i])] + list(w[k:])
+        pattern = cycle_graph(ell) if witness.closed else path_graph(ell)
+        pre = {sorted_pair(w[j], w[(j + 1) % len(w)]): x[j] for j in range(k, t)}
+        completion = _completion(
+            host, [sorted_pair(seq[a], seq[b]) for a, b in pattern.edge_list()], pre
+        )
         if completion is None:
             raise AssertionError(
                 "completion is guaranteed under the witness codegree bound"
             )
-        emb = Embedding(
-            pattern=pattern,
-            core_map=tuple(seq),
-            expansion_map=tuple(
-                sorted(
-                    (
-                        sorted_pair(i, (i + 1) % ell)
-                        if witness.closed
-                        else sorted_pair(i, i + 1),
-                        completion[edge_pairs[i]],
-                    )
-                    for i in range(ell)
-                )
-            ),
-            host_kind="3graph",
-        )
+        emb = _certificate(pattern, tuple(seq), completion)
         if not emb.validate(host):
             raise AssertionError("witness-derived embedding failed validation")
         out[ell] = emb

@@ -62,6 +62,7 @@ from .trees import (
 
 WITNESS_CAP = 16
 RAINBOW_CHECK_LIMIT = 8  # largest n whose certificate coloring is searched for rainbow copies
+EXACT_CUT_LIMIT = 24  # largest support whose bipartization distance is computed exactly
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +285,8 @@ def exact_turan_hypergraph(
                     find_expansion(s_construction(n, t), pattern) is None
                 )
 
-    def is_free(triples: frozenset, it=None) -> bool:
-        host = TripleSystem(n, triples)
-        if it is None:
-            return find_expansion(host, pattern) is None
-        return not expansion_through(host, pattern, [it])
+    def is_free(triples: frozenset, it) -> bool:
+        return not expansion_through(TripleSystem(n, triples), pattern, [it])
 
     return _exact_turan(
         n,
@@ -345,10 +343,8 @@ def exact_generalized_turan(
                 find_blowup(s_graph(n, t, plus=plus), pattern) is None
             )
 
-    def is_free(edges: frozenset, it=None) -> bool:
+    def is_free(edges: frozenset, it) -> bool:
         graph = Graph(n, edges)
-        if it is None:
-            return find_blowup(graph, pattern) is None
         u, v = it
         new = [(u, v, w) for w in _mask_vertices(graph.adj[u] & graph.adj[v])]
         return not new or not expansion_through(triangle_system(graph), pattern, new)
@@ -420,9 +416,6 @@ class ClosenessReport:
     delta: float
     conditions: dict[str, dict]
     exact_bipartization: bool | None = None
-
-    def accepted(self) -> bool:
-        return all(c["holds"] for c in self.conditions.values())
 
     def to_json(self) -> dict:
         return {
@@ -507,10 +500,10 @@ def graph_closeness(graph: Graph, t: int, delta: float) -> ClosenessReport | Non
 # bipartization distance
 
 
-def bipartization_distance(graph: Graph, exact_limit: int = 24) -> tuple[int, bool]:
+def bipartization_distance(graph: Graph) -> tuple[int, bool]:
     """(edges to delete to make the graph bipartite, exact?).
 
-    Exact when the edge-bearing support has at most exact_limit vertices
+    Exact when the edge-bearing support has at most EXACT_CUT_LIMIT vertices
     (bipartition enumeration in Gray-code order with the first support
     vertex pinned); otherwise a local-search upper bound from fixed-seed
     random starts, flagged.
@@ -521,7 +514,7 @@ def bipartization_distance(graph: Graph, exact_limit: int = 24) -> tuple[int, bo
         return 0, True
     if graph.is_bipartite():
         return 0, True
-    if len(support) <= exact_limit:
+    if len(support) <= EXACT_CUT_LIMIT:
         return m - _maxcut_exact(graph, support), True
     return m - _maxcut_local(graph, support), False
 

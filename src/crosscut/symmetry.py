@@ -178,11 +178,6 @@ def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
     return key_and_twins(n, edges)[0]
 
 
-def twin_ids(n: int, edges) -> list[int]:
-    """The twin ids of `key_and_twins`."""
-    return key_and_twins(n, edges)[1]
-
-
 def key_and_twins(n: int, edges) -> tuple[tuple, list[int]]:
     """The canonical edge key and each vertex's twin id, from one
     refinement.  u and w share a twin id iff the transposition (u w) maps

@@ -149,16 +149,15 @@ def crosscut_number(graph: Graph) -> tuple[int, CrosscutPair]:
     return _cost(opt), CrosscutPair(independent, _leftover_edges(graph, independent))
 
 
-def all_crosscut_pairs(
-    graph: Graph, cap: int = PAIR_CAP
-) -> tuple[list[CrosscutPair], bool]:
-    """All optimal crosscut pairs (capped); second value flags truncation."""
+def all_crosscut_pairs(graph: Graph) -> tuple[list[CrosscutPair], bool]:
+    """All optimal crosscut pairs, at most PAIR_CAP of them (read at call
+    time); second value flags truncation."""
     steps: dict[int, tuple[_Component, int]] = {}
     for comp in _dp_plan(graph):
         best = _cost(_component_opt(comp, 0, 0))
         for v, _ in comp[0]:
             steps[v] = (comp, best)
-    found, overflow = _pairs_walk(steps, cap)
+    found, overflow = _pairs_walk(steps, PAIR_CAP)
     pairs = [CrosscutPair(i, _leftover_edges(graph, i)) for i in found]
     pairs.sort(key=lambda p: (-len(p.independent), p.independent))
     return pairs, overflow

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscut import embed
 from crosscut.builders import (
     constant_coloring,
     expansion,
@@ -36,10 +37,11 @@ from crosscut.lab import (
     enumerate_two_intersecting_systems,
     exact_generalized_turan,
 )
-from crosscut.structures import Graph, TripleSystem
+from crosscut.structures import Graph, TripleSystem, sorted_pair
 from crosscut.trees import (
     analyze_tree,
     complete_graph,
+    crosscut_value,
     cycle_graph,
     enumerate_trees,
     path_graph,
@@ -73,6 +75,26 @@ PATTERNS = [
     star_graph(3),
     Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),  # double star
 ]
+
+# the 8 trees on at most 7 vertices with crosscut number 2
+SIGMA_TWO_TREES = [t for n in range(2, 8) for t in enumerate_trees(n) if crosscut_value(t) == 2]
+
+
+def _completion_of(emb):
+    """The completion vertex of each sorted host pair of a certificate."""
+    return {
+        sorted_pair(emb.core_map[a], emb.core_map[b]): w for (a, b), w in emb.expansion_map
+    }
+
+
+def _least_completion(host, pairs, pre):
+    """The pre-assigned vertices, plus the lexicographically least distinct
+    fresh vertices for the other pairs in sorted order (brute force; None
+    when there are none)."""
+    taken = sum(1 << x for x in {x for p in pairs for x in p} | set(pre.values()))
+    rest = sorted(p for p in pairs if p not in pre)
+    least = lex_least_sdr_naive([host.codegree_mask(*p) & ~taken for p in rest])
+    return None if least is None else {**pre, **dict(zip(rest, least))}
 
 
 class TestFindExpansion:
@@ -508,6 +530,33 @@ class TestCompletePartial:
         with pytest.raises(InputError, match="not a host vertex"):
             complete_partial_expansion(complete_3graph(8), [(0, 1)], {(0, 1): vertex})
 
+    def test_completion_is_the_least_one(self):
+        rng = random.Random(67)
+        seen = {"none": 0, "plain": 0, "pre": 0}
+        for _ in range(300):
+            host = random_triple_system(rng, rng.randint(6, 10), rng.uniform(0.1, 0.6))
+            pairs = sorted(host.pair_nbr)
+            if not pairs:
+                continue
+            copy = rng.sample(pairs, rng.randint(1, min(5, len(pairs))))
+            core = {x for p in copy for x in p}
+            pre = {}
+            for p in rng.sample(copy, rng.randint(0, len(copy))):
+                options = [
+                    w for w in range(host.n)
+                    if host.has_triple(*p, w) and w not in core and w not in pre.values()
+                ]
+                if options:
+                    pre[p] = rng.choice(options)
+            emb = complete_partial_expansion(host, copy, pre)
+            want = _least_completion(host, copy, pre)
+            if want is None:
+                assert emb is None
+            else:
+                assert _completion_of(emb) == want, (host.edge_list(), copy, pre)
+            seen["none" if want is None else "pre" if pre else "plain"] += 1
+        assert min(seen.values()) >= 30, seen
+
     def test_guarantee_threshold(self):
         # every unassigned pair with codegree >= |F| + |V(F)| must complete
         rng = random.Random(7)
@@ -541,17 +590,21 @@ class TestEmbedTreeTwoSets:
         emb = embed_tree_two_sets(host, path_graph(3), {0}, {1}, v1, v2, g1, g2)
         assert emb is not None and emb.validate(host)
 
-    def test_star_and_spider_patterns(self):
-        host, v1, v2, g1, g2 = self._host()
-        for tree in (path_graph(3), star_graph(2), Graph(4, [(0, 1), (1, 2), (1, 3)])):
-            if len(tree.edges) < 1:
-                continue
-            from crosscut.trees import crosscut_value
+    @pytest.mark.parametrize("tree", SIGMA_TWO_TREES, ids=lambda t: str(t.edge_list()))
+    def test_star_and_spider_patterns(self, monkeypatch, tree):
+        # the recipe builds every one: the fallback search is switched off
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the recipe fell back to the exact search")
 
-            if crosscut_value(tree) - 1 != 1:
-                continue
-            emb = embed_tree_two_sets(host, tree, {0}, {1}, v1, v2, g1, g2)
-            assert emb is not None and emb.validate(host)
+        monkeypatch.setattr(embed, "find_expansion", no_fallback)
+        host, v1, v2, g1, g2 = self._host()
+        emb = embed_tree_two_sets(host, tree, {0}, {1}, v1, v2, g1, g2)
+        assert emb.validate(host)
+        # the apex 0 completes only the pre-assigned leftover edges: the
+        # others' candidates exclude the core and the pre-assigned vertices
+        got = _completion_of(emb)
+        pre = {p: w for p, w in got.items() if w == 0}
+        assert got == _least_completion(host, list(got), pre)
 
     def test_empty_overlap_is_a_hypothesis_error(self):
         host, v1, v2, g1, g2 = self._host()
@@ -595,6 +648,18 @@ class TestEmbedTreeTwoSets:
 
 
 class TestVaryCycleLength:
+    @staticmethod
+    def _assert_least_completions(host, witness, out):
+        """The gaps w[j] w[j + 1], j >= ell - t, the length ell leaves
+        unsplit keep their interleaved vertex x[j]; the other pairs get the
+        least completion."""
+        w, x = witness.hubs, witness.interleaved
+        t = len(x)
+        for ell, emb in out.items():
+            pre = {sorted_pair(w[j], w[(j + 1) % len(w)]): x[j] for j in range(ell - t, t)}
+            got = _completion_of(emb)
+            assert got == _least_completion(host, list(got), pre), ell
+
     def test_dense_host_witness(self):
         host = complete_3graph(32)
         witness = AlternatingWitness((0, 1, 2, 3), (4, 5, 6, 7), closed=True)
@@ -603,6 +668,7 @@ class TestVaryCycleLength:
         for ell, emb in out.items():
             assert emb.validate(host)
             assert len(emb.pattern.edges) == ell
+        self._assert_least_completions(host, witness, out)
 
     def test_short_cycle_range_is_clipped(self):
         host = complete_3graph(22)
@@ -614,12 +680,12 @@ class TestVaryCycleLength:
 
     def test_path_variant(self):
         host = complete_3graph(22)
-        out = vary_cycle_length(
-            host, AlternatingWitness((0, 1, 2), (3, 4), closed=False)
-        )
+        witness = AlternatingWitness((0, 1, 2), (3, 4), closed=False)
+        out = vary_cycle_length(host, witness)
         assert sorted(out) == [2, 3, 4]
         for emb in out.values():
             assert emb.validate(host)
+        self._assert_least_completions(host, witness, out)
 
     def test_codegree_validation(self):
         host = TripleSystem(8, [(0, 2, 1), (1, 3, 0)])
@@ -629,21 +695,22 @@ class TestVaryCycleLength:
 
     def test_structured_nonuniform_host(self):
         # dense apex-free zone plus the wheel structure, not fully complete
+        # 32 vertices leave every pair through an interleaved vertex the
+        # codegree 6t + 6 = 24 the witness needs
         rng = random.Random(31)
         base = [
             t
-            for t in itertools.combinations(range(26), 3)
+            for t in itertools.combinations(range(32), 3)
             if rng.random() < 0.9
         ]
         witness = AlternatingWitness((0, 1, 2), (3, 4, 5), closed=True)
         needed = [(0, 3, 1), (1, 4, 2), (2, 5, 0)]
-        host = TripleSystem(26, base + [tuple(sorted(t)) for t in needed])
-        try:
-            out = vary_cycle_length(host, witness)
-        except HypothesisError:
-            return  # random host missed the codegree floor; nothing to check
+        host = TripleSystem(32, base + [tuple(sorted(t)) for t in needed])
+        out = vary_cycle_length(host, witness)
+        assert sorted(out) == [3, 4, 5, 6]
         for emb in out.values():
             assert emb.validate(host)
+        self._assert_least_completions(host, witness, out)
 
 
 class TestRainbow:

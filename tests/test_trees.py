@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crosscut import trees
 from crosscut.errors import InputError
 from crosscut.structures import Graph, sorted_pair
 from crosscut.trees import (
@@ -91,8 +92,9 @@ class TestCrosscut:
                 )
                 assert (cost == sigma) == (tuple(sub) in seen)
 
-    def test_pair_cap(self):
-        pairs, truncated = all_crosscut_pairs(path_graph(7), cap=2)
+    def test_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(trees, "PAIR_CAP", 2)
+        pairs, truncated = all_crosscut_pairs(path_graph(7))
         assert truncated and len(pairs) == 2
 
 
@@ -144,7 +146,7 @@ class TestCrosscutAgainstReference:
 
     CAPS = (300, 20, 5, 3, 2, 1)
 
-    def test_random_graphs_every_cap(self):
+    def test_random_graphs_every_cap(self, monkeypatch):
         rng = random.Random(9)
         shapes = {"ok": 0, "error": 0, "cyclic": 0, "truncated": 0}
         for graph in _crosscut_corpus(rng, 3000):
@@ -153,7 +155,8 @@ class TestCrosscutAgainstReference:
                 shapes["error"] += 1
                 assert _outcome(crosscut_value, graph) == full
                 assert _outcome(crosscut_number, graph) == full
-                assert _outcome(all_crosscut_pairs, graph, 1) == full
+                monkeypatch.setattr(trees, "PAIR_CAP", 1)
+                assert _outcome(all_crosscut_pairs, graph) == full
                 continue
             shapes["ok"] += 1
             shapes["cyclic"] += len(graph.edges) > graph.n - len(graph.components())
@@ -169,7 +172,8 @@ class TestCrosscutAgainstReference:
                     shapes["truncated"] += expected[1]
                 else:
                     expected = full[2], full[3]
-                got = all_crosscut_pairs(graph, cap)
+                monkeypatch.setattr(trees, "PAIR_CAP", cap)
+                got = all_crosscut_pairs(graph)
                 assert got == expected, (graph.n, sorted(graph.edges), cap)
         # the corpus reaches every case it is meant to
         assert min(shapes.values()) >= 100, shapes
