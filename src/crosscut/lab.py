@@ -384,7 +384,8 @@ def cached_turan(
     plus "lower-only" for lower-bound results, so that those never answer
     an exhaustive request (exhaustive keys are unchanged).  A cache file
     that is not a JSON object with every TuranResult field is recomputed
-    and rewritten."""
+    and rewritten.  A hit reports the requested pattern's edges, the one
+    field that an isomorphic pattern under the same key can change."""
     if cache_dir is None:
         return compute().to_json()
     cache_dir = Path(cache_dir)
@@ -400,6 +401,7 @@ def cached_turan(
         except (ValueError, RecursionError):  # corrupted, truncated or not text
             cached = None
         if isinstance(cached, dict) and _TURAN_FIELDS <= cached.keys():
+            cached["pattern"] = [list(e) for e in pattern.edge_list()]
             return cached
     result = compute().to_json()
     path.write_text(json.dumps(result, sort_keys=True) + "\n")

@@ -15,63 +15,84 @@ from __future__ import annotations
 
 def _refined_classes(n: int, partners: list[list], triples: bool) -> list[list[int]]:
     """Vertex classes fixed by any isomorphism, in signature order: iterated
-    refinement by the colors of co-edge partners.
+    refinement by the colors (class indices) of co-edge partners.
 
-    A vertex's signature is its color and the sorted codes of its edges'
-    other vertices: the partner's color c in a graph, or a*n + b for the
-    partner colors a <= b in a 3-graph.  Colors stay below n, so the codes
-    sort as the sorted color tuples would.  Colors are signature ranks and
-    each signature starts with the vertex's color, so every round refines
-    the last one in order; a round that adds no class changes no color, and
-    refinement stops there (or once every class is a single vertex).
+    The first round ranks the vertices by degree.  Each later round codes a
+    vertex by the sorted tuple of its partners' codes: the color c in a
+    graph, or a*n + b for the colors a <= b of a 3-graph pair (colors stay
+    below n, so these sort as the color pairs would).  It replaces each
+    class of several vertices by its members grouped by code, in code
+    order; a singleton is never coded.  That ranks all vertices by (color,
+    code), as each such signature starts with the old color, so classes
+    keep their order; refinement stops at the first round that splits none.
     """
-    # the first round from one color ranks the vertices by degree
-    degrees = [len(p) for p in partners]
-    ranks = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    colors = [ranks[d] for d in degrees]
-    count = len(ranks)
-    while 1 < count < n:
-        sigs = []
-        for v in range(n):
-            if triples:
-                codes = []
-                for x, y in partners[v]:
-                    a = colors[x]
-                    b = colors[y]
-                    codes.append(a * n + b if a <= b else b * n + a)
-            else:
-                codes = [colors[u] for u in partners[v]]
-            codes.sort()
-            sigs.append((colors[v], tuple(codes)))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(ranks) == count:
-            break
-        count = len(ranks)
-        colors = [ranks[s] for s in sigs]
-    classes: list[list[int]] = [[] for _ in range(count)]
+    by_degree: dict[int, list[int]] = {}
     for v in range(n):
-        classes[colors[v]].append(v)
+        by_degree.setdefault(len(partners[v]), []).append(v)
+    classes = [by_degree[d] for d in sorted(by_degree)]
+    colors = [0] * n
+    while 1 < len(classes) < n:
+        for c, cls in enumerate(classes):
+            for v in cls:
+                colors[v] = c
+        split = []
+        for cls in classes:
+            if len(cls) == 1:
+                split.append(cls)
+                continue
+            by_code: dict[tuple, list[int]] = {}
+            for v in cls:
+                codes = []
+                if triples:
+                    for x, y in partners[v]:
+                        a = colors[x]
+                        b = colors[y]
+                        codes.append(a * n + b if a <= b else b * n + a)
+                else:
+                    for u in partners[v]:
+                        codes.append(colors[u])
+                codes.sort()
+                by_code.setdefault(tuple(codes), []).append(v)
+            if len(by_code) == 1:
+                split.append(cls)
+            else:
+                split += [by_code[c] for c in sorted(by_code)]
+        if len(split) == len(classes):
+            break
+        classes = split
     return classes
 
 
-def _twin_groups(cls: list[int], partners: list[list], triples: bool) -> list[list[int]]:
+def _twin_groups(cls: list[int], partners: list[list], triples: bool, pos: list, t: int) -> list:
     """The class split into twin groups, in order of first vertex: u and w
     are twins when the transposition (u w) maps the edge set onto itself,
-    that is when the partners of u that avoid w are those of w that avoid
-    u.  Twinship is an equivalence, as (u w) = (u v)(v w)(u v), so each
-    vertex is tested against the first member of every group."""
-    links = {v: set(partners[v]) for v in cls}
-
-    def avoiding(v: int, w: int) -> set:
-        if triples:
-            return {p for p in links[v] if w not in p}
-        return links[v] - {w}
-
+    that is when u's partner mask less the bits that meet w equals w's less
+    those that meet u (a partner is the bit p = pos[v] < t of a vertex, or
+    p*t + q of a pair).  As (u w) = (u v)(v w)(u v), twinship is an
+    equivalence, so each vertex is tested against each group's first."""
+    links = {}
+    meets = {}
+    if triples:
+        row = (1 << t) - 1
+        col = ((1 << t * t) - 1) // row  # bit p*t for every p < t
+        for v in cls:
+            link = 0
+            for x, y in partners[v]:
+                link |= 1 << pos[x] * t + pos[y]
+            links[v] = link
+            meets[v] = row << pos[v] * t | col << pos[v]
+    else:
+        for v in cls:
+            link = 0
+            for u in partners[v]:
+                link |= 1 << pos[u]
+            links[v] = link
+            meets[v] = 1 << pos[v]
     groups: list[list[int]] = []
     for v in cls:
         for group in groups:
             u = group[0]
-            if avoiding(u, v) == avoiding(v, u):
+            if links[u] & ~meets[v] == links[v] & ~meets[u]:
                 group.append(v)
                 break
         else:
@@ -124,37 +145,29 @@ def _edge_codes(items: list, label: list[int], n: int, triples: bool) -> list[in
 
 
 def _least_codes(
-    items: list,
-    label: list[int],
-    n: int,
-    triples: bool,
-    blocks: list[tuple[int, list[list[int]]]],
-    b: int,
-    j: int,
-    best: list[int] | None,
+    items: list, label: list[int], n: int, triples: bool, blocks: list, b: int, j: int, best
 ) -> list[int]:
     """The least sorted edge codes over the completions of a labelling
     that has given the first j labels of block b, if below best; else
     best.  Each block's twin groups are stacks of the vertices still
     unlabelled, the next one on top; they and label are restored on
     return."""
-    if b == len(blocks):
-        key = _edge_codes(items, label, n, triples)
-        return key if best is None or key < best else best
     offset, stacks = blocks[b]
     slot = offset + j
     open_stacks = [stack for stack in stacks if stack]
     if len(open_stacks) == 1:
         # one twin group left: the rest of the block is forced
-        stack = open_stacks[0]
-        rest = stack[::-1]
-        stack.clear()
+        rest = open_stacks[0][::-1]
         for k, v in enumerate(rest, slot):
             label[v] = k
-        best = _least_codes(items, label, n, triples, blocks, b + 1, 0, best)
+        if b + 1 < len(blocks):
+            best = _least_codes(items, label, n, triples, blocks, b + 1, 0, best)
+        else:
+            key = _edge_codes(items, label, n, triples)
+            if best is None or key < best:
+                best = key
         for v in rest:
             label[v] = slot
-        stack.extend(reversed(rest))
         return best
     if best is not None and _edge_codes(items, label, n, triples) >= best:
         return best
@@ -180,59 +193,49 @@ def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
 
 def key_and_twins(n: int, edges) -> tuple[tuple, list[int]]:
     """The canonical edge key and each vertex's twin id, from one
-    refinement.  u and w share a twin id iff the transposition (u w) maps
-    the edge set onto itself; vertices outside every edge are twins of each
-    other.  The ids number the twin groups of the refinement classes (see
-    below) in class order.
+    refinement of the edges, which must be sorted tuples (as `Graph.edges`,
+    `TripleSystem.edges` and `itertools.combinations` give them).  u and w
+    share a twin id iff the transposition (u w) maps the edge set onto
+    itself; vertices outside every edge are twins of each other.  The ids
+    number the twin groups of the refinement classes in class order.
 
-    The key is the minimum relabeled sorted edge tuple over all
-    refinement-respecting permutations; a true canonical form for graphs
-    and 3-graphs (all edges of one size, 2 or 3).
-
-    Any isomorphism preserves the refinement signature of a vertex, so
-    relabelings that assign label blocks class by class (classes in their
-    canonical signature order) suffice.  Vertices outside every edge never
-    appear in the key, so only edge-touching classes are permuted.
-
-    Two permutations that differ by exchanging twins give the same key:
-    if (u w) is an automorphism, relabeling after it relabels the same edge
-    set.  Twins share a refinement class, since refinement is invariant
-    under automorphisms, so each class block only takes the distinct
-    arrangements of its twin groups, and the minimum over them is the
-    minimum over all its permutations.
+    The key is the least relabeled sorted edge tuple over the
+    refinement-respecting permutations, a canonical form for graphs and
+    3-graphs: isomorphisms preserve refinement signatures, so label blocks
+    given to the classes in signature order suffice, and only the classes
+    of vertices in edges are permuted.  Exchanging twins keeps the key, and
+    twins share a class, so each block only takes the distinct arrangements
+    of its class's twin groups.
 
     The arrangements are searched depth first (McKay and Piperno,
     Practical Graph Isomorphism II, 2014: drop a partial labelling that
-    cannot beat the best one found).  The search fills the label blocks of
-    the classes with several twin groups in label order, each step giving
-    the block's least free label to the next vertex of one twin group.
-    Edges are compared as integer codes: the sorted labels (x, y, z) of a
-    triple code as x*n*n + y*n + z and (x, y) of a pair as x*n + y; labels
-    stay below n, so the codes sort as the tuples do.
-
-    While the search runs, a vertex not yet labelled is bounded below by
-    the least free label of its class block.  The code of a sorted label
-    tuple never decreases when one input label grows (sorting keeps
-    element-wise order), so each edge's bound code is at most its final
-    code in every completion.  Sorting the list of codes keeps that
-    element-wise order, and element-wise <= implies lexicographic <=.  So
-    no completion of a labelling whose sorted bound codes are >= the best
-    key so far is below that key, and the labelling is pruned.  Bounds
-    only grow down the search, so where one twin group is left in a block,
-    its vertices take the rest of the block at once and the bound is next
-    tested at a choice or a complete labelling.  Only the winning codes
-    are turned back into tuples.
+    cannot beat the best one found), each step giving a block's least free
+    label to the next vertex of one twin group.  Edges compare as codes:
+    the sorted labels (x, y, z) of a triple as x*n*n + y*n + z, (x, y) of a
+    pair as x*n + y, which sort as the tuples do.  An unlabelled vertex is
+    bounded below by its block's least free label; a sorted label tuple's
+    code never decreases when one label grows, so each edge's bound code,
+    and element-wise (hence lexicographically) the sorted list, is at most
+    that of every completion: a labelling whose sorted bound codes reach
+    the best key is pruned.  Bounds only grow down the search, so where one
+    twin group is left in a block, its vertices take the rest at once.
     """
-    items = sorted([tuple(sorted(e)) for e in edges])
+    items = sorted(edges)
     triples, partners = _partners(n, items)
     ids = [0] * n
     count = 0
     label = [0] * n  # the least free label of its block for a vertex not yet labelled
     blocks = []  # (offset, twin groups as stacks) of the classes with several groups
     offset = 0
+    pos = [0] * n  # the twin test's bit of each of the t vertices in some edge
+    t = 0
+    for v in range(n):
+        if partners[v]:
+            pos[v] = t
+            t += 1
     for cls in _refined_classes(n, partners, triples):
         touched = partners[cls[0]]
-        groups = _twin_groups(cls, partners, triples) if touched and len(cls) > 1 else [cls]
+        groups = _twin_groups(cls, partners, triples, pos, t) if touched and len(cls) > 1 else [cls]
         for group in groups:
             for v in group:
                 ids[v] = count
@@ -247,7 +250,10 @@ def key_and_twins(n: int, edges) -> tuple[tuple, list[int]]:
         offset += len(cls)
     if not items:
         return (), ids
-    best = _least_codes(items, label, n, triples, blocks, 0, 0, None)
+    if blocks:
+        best = _least_codes(items, label, n, triples, blocks, 0, 0, None)
+    else:
+        best = _edge_codes(items, label, n, triples)
     if triples:
         square = n * n
         return tuple([(c // square, c // n % n, c % n) for c in best]), ids

@@ -12,6 +12,7 @@ from crosscut.cleaning import cleaning_algorithm
 from crosscut.cli import build_parser, main
 from crosscut.config import RunConfig
 from crosscut.fileio import dumps_coloring, save_structure
+from crosscut.structures import Graph
 from crosscut.trees import path_graph
 
 
@@ -334,6 +335,25 @@ def test_turan_cli_and_cache(files, capsys, tmp_path):
     second.pop("generated_at")
     assert first == second
     assert list(cache.glob("turan-*.json"))
+
+
+@pytest.mark.parametrize("mode", ["hypergraph", "triangles"])
+def test_turan_cache_hit_reports_the_requested_pattern(tmp_path, capsys, mode):
+    """Isomorphic patterns share a cache file, yet each run prints what an
+    uncached run prints, its own pattern included."""
+    reports = []
+    for name, edges in [("p1", [(0, 1), (1, 2)]), ("p2", [(0, 2), (1, 2)])]:
+        save_structure(Graph(3, edges), tmp_path / f"{name}.edges")
+        for cache in (["--cache-dir", str(tmp_path / "cache")], []):
+            args = ["turan", "--mode", mode, "--n", "5", "--pattern", str(tmp_path / f"{name}.edges")]
+            assert main(cache + args) == 0
+            report = json.loads(capsys.readouterr().out)
+            report.pop("generated_at")
+            reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[2] == reports[3]
+    assert reports[2]["pattern"] == [[0, 2], [1, 2]]
+    assert len(list((tmp_path / "cache").glob("turan-*.json"))) == 1
 
 
 @pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], lambda text: "[]"])

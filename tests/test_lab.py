@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from crosscut import embed, lab
+from crosscut import embed, lab, symmetry
 from crosscut.builders import balanced_bipartite, s_construction, s_graph, s_size
 from crosscut.config import SearchBudget
 from crosscut.errors import BudgetExceededError, InputError
@@ -33,6 +33,7 @@ from crosscut.trees import complete_graph, cycle_graph, enumerate_trees, path_gr
 
 from conftest import random_graph
 from oracles import (
+    _refined_classes_reference,
     canonical_edge_key_reference,
     canonical_key_naive,
     generalized_turan_naive,
@@ -205,6 +206,105 @@ def test_turan_work_counts_are_pinned(monkeypatch):
         per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
     assert per_problem == [(12, 12), (17, 19), (189, 381), (43, 368), (59, 521)]
     assert (counts["searches"], counts["keys"]) == (320, 1301)
+
+
+def test_arrangement_search_work_is_pinned(monkeypatch):
+    """Edge-code evaluations and arrangement-search calls per problem, a
+    count of the keys' work that does not depend on the machine.  A family
+    with one arrangement is coded once, without a search call; each leaf
+    of a search and each bound test at a choice codes every edge."""
+    counts = {"codes": 0, "calls": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, fn in [("codes", "_edge_codes"), ("calls", "_least_codes")]:
+        monkeypatch.setattr(symmetry, fn, counted(name, getattr(symmetry, fn)))
+    embed._edge_orbits.cache_clear()  # so that the patterns' own keys count too
+    per_problem = []
+    for solve, n, pattern in TURAN_WORKLOAD:
+        before = dict(counts)
+        solve(n, pattern)
+        per_problem.append((counts["codes"] - before["codes"], counts["calls"] - before["calls"]))
+    assert per_problem == [(27, 27), (33, 27), (941, 936), (1535, 1845), (2078, 2548)]
+    assert (counts["codes"], counts["calls"]) == (4614, 5383)
+
+
+def test_turan_workload_keys_match_the_reference(monkeypatch):
+    """Every family the orderly generation keys gets the plain
+    enumeration's key."""
+    families = []
+
+    def recorded(fn):
+        def wrapper(n, edges):
+            families.append((n, frozenset(edges)))
+            return fn(n, edges)
+
+        return wrapper
+
+    monkeypatch.setattr(lab, "canonical_edge_key", recorded(canonical_edge_key))
+    monkeypatch.setattr(lab, "key_and_twins", recorded(key_and_twins))
+    for solve, n, pattern in TURAN_WORKLOAD:
+        solve(n, pattern)
+    assert len(families) == 1301
+    for n, edges in families:
+        assert canonical_edge_key(n, edges) == canonical_edge_key_reference(n, edges), (n, edges)
+
+
+def _random_family(rng: random.Random, n: int, arity: int) -> list[tuple[int, ...]]:
+    """Edges of a random graph or 3-graph on range(n); a third of them
+    leave up to two top vertices outside every edge."""
+    density = rng.choice([0.05, 0.2, 0.5, 0.8, 0.95])
+    span = n - rng.randint(0, 2) if rng.random() < 1 / 3 else n
+    return [e for e in itertools.combinations(range(span), arity) if rng.random() < density]
+
+
+def test_refined_classes_match_the_reference():
+    """Class by class refinement gives the classes of ranking every vertex
+    by (color, sorted partner colors) until nothing changes, in order."""
+    rng = random.Random(4242)
+    for i in range(1500):
+        n = rng.randint(1, 8)
+        items = _random_family(rng, n, 2 + i % 2)
+        triples, partners = symmetry._partners(n, items)
+        assert symmetry._refined_classes(n, partners, triples) == _refined_classes_reference(
+            n, items
+        ), (n, items)
+
+
+def test_relabelling_keeps_the_key_and_carries_the_twins():
+    """On 7 and 8 vertices, where the plain enumeration is slow, a random
+    relabelling sigma keeps the key, and u, w are twins iff sigma(u),
+    sigma(w) are."""
+    rng = random.Random(777)
+    for i in range(1000):
+        n = 7 + i % 2
+        edges = _random_family(rng, n, 2 + i // 2 % 2)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        moved = sorted(tuple(sorted(sigma[v] for v in e)) for e in edges)
+        key, ids = key_and_twins(n, edges)
+        moved_key, moved_ids = key_and_twins(n, moved)
+        assert moved_key == key, (n, edges, sigma)
+        for u, w in itertools.combinations(range(n), 2):
+            assert (ids[u] == ids[w]) == (moved_ids[sigma[u]] == moved_ids[sigma[w]])
+
+
+def test_turan_reports_are_pinned():
+    """Turán reports of both modes for n = 2..6 and seven patterns, plus
+    (7, P2), byte for byte: their witnesses are canonical keys."""
+    patterns = [path_graph(1), path_graph(2), path_graph(3), star_graph(3), cycle_graph(3),
+                cycle_graph(4), Graph(4, [(0, 1), (2, 3)])]
+    problems = [(solve, n, pattern) for solve in (exact_turan_hypergraph, exact_generalized_turan)
+                for n in range(2, 7) for pattern in patterns]
+    problems += [(exact_turan_hypergraph, 7, path_graph(2)), (exact_generalized_turan, 7, path_graph(2))]
+    lines = [json.dumps(solve(n, pattern).to_json(), sort_keys=True) for solve, n, pattern in problems]
+    assert len(lines) == 72
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "fa42dd0e6df25254"
 
 
 def test_no_labelled_family_is_keyed_twice_in_one_level(monkeypatch):
@@ -531,16 +631,22 @@ class TestCache:
         assert len(calls) == 1
 
     def test_cache_key_uses_isomorphism_class(self, tmp_path):
+        """Relabellings of one pattern share one cache file per mode, and
+        every report equals the uncached one, the requested pattern
+        included."""
         calls = []
+        for mode, solve in [("hypergraph", exact_turan_hypergraph),
+                            ("triangles", exact_generalized_turan)]:
+            for pattern in [path_graph(2), Graph(3, [(0, 2), (1, 2)]), Graph(3, [(0, 1), (0, 2)])]:
 
-        def compute():
-            calls.append(1)
-            return exact_turan_hypergraph(5, path_graph(2))
+                def compute(solve=solve, pattern=pattern):
+                    calls.append(1)
+                    return solve(5, pattern)
 
-        relabeled = Graph(3, [(2, 1), (1, 0)])
-        cached_turan("hypergraph", 5, path_graph(2), tmp_path, compute)
-        cached_turan("hypergraph", 5, relabeled, tmp_path, compute)
-        assert len(calls) == 1
+                report = cached_turan(mode, 5, pattern, tmp_path, compute)
+                assert report == solve(5, pattern).to_json()
+        assert len(calls) == 2
+        assert len(list(tmp_path.glob("turan-*.json"))) == 2
 
 
 class TestCloseness:
