@@ -32,10 +32,9 @@ _TOO_LONG = "integer with too many digits"
 
 
 def _parse_header(line: str, path: str) -> tuple[str, int]:
-    fields = dict(
-        part.split("=", 1) for part in line.split() if "=" in part
-    )
-    if set(fields) != {"kind", "n"}:
+    parts = line.split()
+    fields = dict(part.split("=", 1) for part in parts if "=" in part)
+    if len(parts) != 2 or set(fields) != {"kind", "n"}:
         raise InputError(f"{path}: header must be 'kind=graph|3graph n=<N>'")
     kind = fields["kind"]
     if kind not in ("graph", "3graph"):
@@ -90,10 +89,11 @@ def _located(exc: InputError, build, n: int, rows: list, where, path: str) -> In
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    """The stripped lines that are neither blank nor comments, each with
-    its physical line number, so that messages point into the file."""
-    numbered = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1)]
-    return [(i, l) for i, l in numbered if l and not l.startswith("#")]
+    """The lines cut at `#` (a comment runs to the end of the line) and
+    stripped, blank ones dropped, each with its physical line number."""
+    lines = enumerate(text.splitlines(), start=1)
+    numbered = [(i, l.split("#", 1)[0].strip()) for i, l in lines]
+    return [(i, l) for i, l in numbered if l]
 
 
 def _text_rows(lines: list[tuple[int, str]], path: str) -> list[tuple[int, ...]]:

@@ -11,6 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .builders import (
@@ -61,6 +62,8 @@ from .trees import (
 )
 
 WITNESS_CAP = 16
+CONSTRUCTION_CHECK_LIMIT = 16  # largest n whose Turán construction is searched for the pattern
+EXHAUSTIVE_LIMIT = 7  # largest n of an exhaustive Turán search
 RAINBOW_CHECK_LIMIT = 8  # largest n whose certificate coloring is searched for rainbow copies
 EXACT_CUT_LIMIT = 24  # largest support whose bipartization distance is computed exactly
 
@@ -209,30 +212,43 @@ def _exact_turan(
     pattern: Graph,
     exhaustive: bool,
     budget: SearchBudget | None,
-    construction_value: int | None,
-    construction_free: bool | None,
+    construction,
     arity: int,
     is_free,
     objective,
 ) -> TuranResult:
     """Driver shared by the exact Turán entry points.
 
-    Lower-bound mode reports the construction value alone.  Exhaustive mode
-    (n <= 7, budget-checked; 50M nodes when no budget is given) runs orderly
+    construction is None or (t, size, build, contains): for 0 <= t <= n its
+    value is size(n, t), and for n <= CONSTRUCTION_CHECK_LIMIT it is
+    reported free when contains(build(n, t), pattern) is None.  Lower-bound
+    mode reports the construction value alone.  Exhaustive mode
+    (n <= EXHAUSTIVE_LIMIT, checked before the construction is searched;
+    budget-checked, 50M nodes when no budget is given) runs orderly
     generation over the arity-subsets of [n], seeded with the construction
-    value when the construction was verified free.  A pattern whose copies
-    have more than n vertices is in no family: from n = 3 on, the complete
-    family (its own key) alone has the top value, and no search runs.  A
-    negative n is an InputError in both modes.
+    value when the construction was verified free.
+    A pattern whose copies have more than n vertices is in no family: from
+    n = 3 on, the complete family (its own key) alone has the top value,
+    and no search runs.  An edgeless pattern and a negative n are
+    InputErrors in both modes.
     """
+    if not pattern.edges:
+        raise InputError("pattern needs at least one edge")
     if n < 0:
         raise InputError("n must be nonnegative")
+    if exhaustive and n > EXHAUSTIVE_LIMIT:
+        raise BudgetExceededError(f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}")
+    construction_value = construction_free = None
+    if construction is not None:
+        t, size, build, contains = construction
+        if 0 <= t <= n:
+            construction_value = size(n, t)
+            if n <= CONSTRUCTION_CHECK_LIMIT:
+                construction_free = contains(build(n, t), pattern) is None
     value = construction_value if construction_value is not None else 0
     witness_keys: list[tuple] = []
     nodes = 0
     if exhaustive:
-        if n > 7:
-            raise BudgetExceededError("exhaustive search supports n <= 7")
         items = list(itertools.combinations(range(n), arity))
         if pattern.n + len(pattern.edges) > n >= 3:
             value, witness_keys = objective(frozenset(items)), [tuple(items)]
@@ -268,58 +284,18 @@ def exact_turan_hypergraph(
 ) -> TuranResult:
     """Maximum size of an n-vertex 3-graph avoiding the pattern's expansion.
 
-    Exhaustive mode (n <= 7, budget-checked) runs orderly generation with
-    exact freeness tests; otherwise only the apex-construction lower bound
-    is reported.
+    Exhaustive mode runs orderly generation with exact freeness tests;
+    otherwise only the lower bound of the apex construction S(n, σ−1) is
+    reported, for tree patterns.
     """
-    if not pattern.edges:
-        raise InputError("pattern needs at least one edge")
-    construction_value = None
-    construction_free = None
+    construction = None
     if pattern.is_tree():
-        t = crosscut_value(pattern) - 1
-        if 0 <= t <= n:
-            construction_value = s_size(n, t)
-            if n <= 16:
-                construction_free = (
-                    find_expansion(s_construction(n, t), pattern) is None
-                )
+        construction = (crosscut_value(pattern) - 1, s_size, s_construction, find_expansion)
 
     def is_free(triples: frozenset, it) -> bool:
         return not expansion_through(TripleSystem(n, triples), pattern, [it])
 
-    return _exact_turan(
-        n,
-        pattern,
-        exhaustive,
-        budget,
-        construction_value,
-        construction_free,
-        3,
-        is_free,
-        len,
-    )
-
-
-def _pattern_construction_for_triangles(n: int, pattern: Graph):
-    """Lower-bound construction for the triangle objective: the joined
-    construction, with the extra edge for even paths and even cycles: the
-    trees and cycles of maximum degree 2 (the caller rejects edgeless
-    patterns)."""
-    edge_count = len(pattern.edges)
-    degrees = pattern.degrees()
-    is_cycle = (
-        pattern.is_connected()
-        and edge_count == pattern.n
-        and all(d == 2 for d in degrees)
-    )
-    if not (pattern.is_tree() or is_cycle):
-        return None
-    t = crosscut_value(pattern) - 1
-    plus = edge_count % 2 == 0 and max(degrees) <= 2
-    if t < 0 or t > n or (plus and (n - t) // 2 < 2):
-        return None
-    return t, plus
+    return _exact_turan(n, pattern, exhaustive, budget, construction, 3, is_free, len)
 
 
 def exact_generalized_turan(
@@ -329,19 +305,23 @@ def exact_generalized_turan(
     budget: SearchBudget | None = None,
 ) -> TuranResult:
     """Maximum triangle count of an n-vertex graph avoiding the pattern's
-    triangle blowup (exhaustive for n <= 7, budget-checked)."""
-    if not pattern.edges:
-        raise InputError("pattern needs at least one edge")
-    construction_value = None
-    construction_free = None
-    params = _pattern_construction_for_triangles(n, pattern)
-    if params is not None:
-        t, plus = params
-        construction_value = sbi_size(n, t, plus=plus)
-        if n <= 16:
-            construction_free = (
-                find_blowup(s_graph(n, t, plus=plus), pattern) is None
-            )
+    triangle blowup.  The lower bound is the joined construction, for trees
+    and cycles, with the extra edge for even paths and even cycles (the
+    trees and cycles of maximum degree 2) when it fits."""
+    edge_count = len(pattern.edges)
+    degrees = pattern.degrees()
+    is_cycle = (
+        pattern.is_connected()
+        and edge_count == pattern.n
+        and all(d == 2 for d in degrees)
+    )
+    construction = None
+    if pattern.is_tree() or is_cycle:
+        t = crosscut_value(pattern) - 1
+        plus = edge_count % 2 == 0 and all(d <= 2 for d in degrees)
+        if not (plus and (n - t) // 2 < 2):
+            size, build = partial(sbi_size, plus=plus), partial(s_graph, plus=plus)
+            construction = (t, size, build, find_blowup)
 
     def is_free(edges: frozenset, it) -> bool:
         graph = Graph(n, edges)
@@ -352,17 +332,7 @@ def exact_generalized_turan(
     def objective(edges: frozenset) -> int:
         return Graph(n, edges).count_triangles()
 
-    return _exact_turan(
-        n,
-        pattern,
-        exhaustive,
-        budget,
-        construction_value,
-        construction_free,
-        2,
-        is_free,
-        objective,
-    )
+    return _exact_turan(n, pattern, exhaustive, budget, construction, 2, is_free, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,16 @@ def test_usage_and_input_errors(files, tmp_path):
     assert main(["tree", "stats", str(bad)]) == 5
 
 
+@pytest.mark.parametrize(
+    "header", ["kind=graph n=3 n=5", "kind=graph n=3 junk", "kind=graph n=3 kind=3graph"]
+)
+def test_header_is_one_kind_and_one_n(tmp_path, capsys, header):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(f"{header}\n0 1\n")
+    assert main(["tree", "stats", str(bad)]) == 5
+    assert "header must be 'kind=graph|3graph n=<N>'" in capsys.readouterr().err
+
+
 def test_budget_exit_code(files):
     assert (
         main(

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,14 @@ class TestEdgeText:
     def test_comments_and_blank_lines(self):
         text = "# a graph\nkind=graph n=3\n\n0 1\n# trailing\n"
         assert loads_edge_text(text) == Graph(3, [(0, 1)])
+
+    def test_inline_comments_run_to_the_end_of_the_line(self):
+        assert loads_edge_text("kind=graph n=3  # a path\n0 1  # edge\n1 2#\n") == path_graph(2)
+
+    def test_docs_example_loads(self):
+        formats = (Path(__file__).parent.parent / "docs" / "formats.md").read_text()
+        [block] = re.findall(r"## Edge lists \(text\)\n\n```\n(.*?)```", formats, re.S)
+        assert loads_edge_text(block) == Graph(5, [(0, 1), (1, 2)])
 
     def test_messages_give_physical_line_numbers(self):
         text = "kind=graph n=3\n# comment\n\n0 1\n0 0\n"
@@ -184,6 +193,11 @@ class TestColoringFormat:
                 loads_coloring("n=4\n" + "\n".join(bad), "c.txt")
         with pytest.raises(InputError, match=r"^c.txt: bad n$"):
             loads_coloring(f"n={field}\n", "c.txt")
+
+    def test_inline_comments(self):
+        rows = ["0 1 2 0  # apex", "0 1 3 0", "0 2 3 0", "1 2 3 1#"]
+        chi = loads_coloring("n=4 # four vertices\n" + "\n".join(rows))
+        assert chi.color_of[(0, 1, 2)] == 0 and chi.color_of[(1, 2, 3)] == 1
 
     def test_messages_give_physical_line_numbers(self):
         text = "# a coloring\nn=4\n\n0 1 2 0\n# next\n0 2 1 1\n"

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -381,12 +382,15 @@ def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
     nodes) unchanged, also for patterns with non-trivial automorphisms and
     a disconnected one.  The drivers' orderly generation runs here for
     every n, also where they skip it because the pattern cannot fit; the
-    reference tests each whole family with an unrooted search of its own."""
+    reference tests each whole family with an unrooted search of its own.
+    The seed is the one the real driver takes from its lower-only report."""
     runs = []
+    real = lab._exact_turan
 
-    def both(n, pattern, exhaustive, budget, value, free, arity, is_free, objective):
+    def both(n, pattern, exhaustive, budget, construction, arity, is_free, objective):
         items = list(itertools.combinations(range(n), arity))
-        seed = (value or 0) if free else 0
+        lower = real(n, pattern, False, None, construction, arity, is_free, objective)
+        seed = (lower.lower_bound_construction_value or 0) if lower.construction_free else 0
 
         def unrooted(family):
             if arity == 3:
@@ -404,6 +408,33 @@ def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
     assert len(runs) == top - 2
     for got, want in runs:
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "solve, pattern, n, value, free",
+    [
+        (exact_turan_hypergraph, path_graph(3), 16, 105, True),
+        (exact_turan_hypergraph, path_graph(3), 17, 120, None),
+        (exact_generalized_turan, path_graph(3), 16, 56, True),
+        (exact_generalized_turan, path_graph(3), 17, 64, None),
+        (exact_turan_hypergraph, cycle_graph(4), 16, None, None),
+        (exact_generalized_turan, cycle_graph(4), 16, 65, True),
+    ],
+)
+def test_construction_is_checked_up_to_its_limit(solve, pattern, n, value, free):
+    """Both entry points search their construction for n <= 16 and report
+    null above; C4 has the joined construction but no apex system."""
+    result = solve(n, pattern, exhaustive=False)
+    assert (result.lower_bound_construction_value, result.construction_free) == (value, free)
+    assert result.value == (value or 0) and result.matches_construction is None
+
+
+def test_turan_caps_in_the_docs_match_the_code():
+    formats = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    [section] = re.findall(r"^### turan results\n(.*?)(?=^### )", formats, re.S | re.M)
+    assert re.findall(r"capped at (\d+)", section) == [str(lab.WITNESS_CAP)]
+    assert re.findall(r"n > (\d+)", section) == [str(lab.CONSTRUCTION_CHECK_LIMIT)]
+    assert set(re.findall(r"n (?:=|<=) (\d+)", section)) == {str(lab.EXHAUSTIVE_LIMIT)}
 
 
 class TestPinnedTuranAnswers:
@@ -562,9 +593,18 @@ class TestExactTuranHypergraph:
         assert big.value == s_size(30, 1)
         assert big.construction_free is None  # verification capped
 
-    def test_budget_gate(self):
-        with pytest.raises(BudgetExceededError):
-            exact_turan_hypergraph(8, path_graph(2))
+    def test_budget_gate(self, monkeypatch):
+        """Above the cap both entry points stop before searching their
+        construction."""
+
+        def searched(*args):
+            raise AssertionError("construction searched")
+
+        monkeypatch.setattr(lab, "find_expansion", searched)
+        monkeypatch.setattr(lab, "find_blowup", searched)
+        for solve in (exact_turan_hypergraph, exact_generalized_turan):
+            with pytest.raises(BudgetExceededError, match=r"^exhaustive search supports n <= 7$"):
+                solve(8, path_graph(2))
 
 
 @pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
