@@ -14,6 +14,7 @@ import math
 
 from .errors import InputError
 from .structures import Graph, Triple, TripleSystem, _check_n, _is_int, sorted_triple
+from .trees import covering_number
 
 
 def expansion(base: Graph) -> TripleSystem:
@@ -64,6 +65,20 @@ def s_size(n: int, t: int) -> int:
     """Closed form for the apex-system size: C(n,3) - C(n-t,3)."""
     _check_apexes(n, t)
     return math.comb(n, 3) - math.comb(n - t, 3)
+
+
+def s_contains(n: int, t: int, pattern: Graph) -> bool:
+    """Whether S(n, t) contains the pattern's expansion: exactly when
+    n >= |V| + |E| and the pattern's covering number is at most t.
+
+    Every triple of a copy meets the apex set L, so the core vertices in L,
+    plus one end of each edge whose added vertex is in L, cover the pattern
+    with at most t vertices.  Conversely, put a minimum cover on L and every
+    other vertex of the copy anywhere else: each triple holds a cover
+    vertex.  Isolated vertices count toward |V|, as find_expansion maps
+    them too.
+    """
+    return pattern.n + len(pattern.edges) <= n and covering_number(pattern) <= t
 
 
 def join(g1: Graph, g2: Graph) -> Graph:

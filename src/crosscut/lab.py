@@ -19,6 +19,7 @@ from .builders import (
     constant_coloring,
     lower_bound_coloring,
     s_construction,
+    s_contains,
     s_graph,
     s_size,
     sbi_size,
@@ -37,6 +38,7 @@ from .embed import (
 from .structures import (
     Graph,
     TripleSystem,
+    _check_n,
     _mask_vertices,
     matching_le1_structure,
     two_intersecting_structure,
@@ -62,7 +64,7 @@ from .trees import (
 )
 
 WITNESS_CAP = 16
-CONSTRUCTION_CHECK_LIMIT = 16  # largest n whose Turán construction is searched for the pattern
+CONSTRUCTION_CHECK_LIMIT = 16  # largest n whose triangle-side construction is searched
 EXHAUSTIVE_LIMIT = 7  # largest n of an exhaustive Turán search
 RAINBOW_CHECK_LIMIT = 8  # largest n whose certificate coloring is searched for rainbow copies
 EXACT_CUT_LIMIT = 24  # largest support whose bipartization distance is computed exactly
@@ -219,14 +221,13 @@ def _exact_turan(
 ) -> TuranResult:
     """Driver shared by the exact Turán entry points.
 
-    construction is None or (t, size, build, contains): for 0 <= t <= n its
-    value is size(n, t), and for n <= CONSTRUCTION_CHECK_LIMIT it is
-    reported free when contains(build(n, t), pattern) is None.  Lower-bound
-    mode reports the construction value alone.  Exhaustive mode
-    (n <= EXHAUSTIVE_LIMIT, checked before the construction is searched;
-    budget-checked, 50M nodes when no budget is given) runs orderly
-    generation over the arity-subsets of [n], seeded with the construction
-    value when the construction was verified free.
+    construction is None or (t, size, free): for 0 <= t <= n its value is
+    size(n, t), and free(n, t) is True, False or None (undecided) for its
+    freeness from the pattern.  Lower-bound mode reports the construction
+    value alone.  Exhaustive mode (n <= EXHAUSTIVE_LIMIT, checked before
+    free is called; budget-checked, 50M nodes when no budget is given) runs
+    orderly generation over the arity-subsets of [n], seeded with the
+    construction value when the construction was verified free.
     A pattern whose copies have more than n vertices is in no family: from
     n = 3 on, the complete family (its own key) alone has the top value,
     and no search runs.  An edgeless pattern and a negative n are
@@ -240,11 +241,10 @@ def _exact_turan(
         raise BudgetExceededError(f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}")
     construction_value = construction_free = None
     if construction is not None:
-        t, size, build, contains = construction
+        t, size, free = construction
         if 0 <= t <= n:
             construction_value = size(n, t)
-            if n <= CONSTRUCTION_CHECK_LIMIT:
-                construction_free = contains(build(n, t), pattern) is None
+            construction_free = free(n, t)
     value = construction_value if construction_value is not None else 0
     witness_keys: list[tuple] = []
     nodes = 0
@@ -285,12 +285,12 @@ def exact_turan_hypergraph(
     """Maximum size of an n-vertex 3-graph avoiding the pattern's expansion.
 
     Exhaustive mode runs orderly generation with exact freeness tests;
-    otherwise only the lower bound of the apex construction S(n, σ−1) is
-    reported, for tree patterns.
-    """
+    otherwise only the lower bound of the apex construction S(n, σ−1),
+    free by s_contains at every n, is reported, for tree patterns."""
     construction = None
     if pattern.is_tree():
-        construction = (crosscut_value(pattern) - 1, s_size, s_construction, find_expansion)
+        t = crosscut_value(pattern) - 1
+        construction = (t, s_size, lambda n, t: not s_contains(n, t, pattern))
 
     def is_free(triples: frozenset, it) -> bool:
         return not expansion_through(TripleSystem(n, triples), pattern, [it])
@@ -307,21 +307,21 @@ def exact_generalized_turan(
     """Maximum triangle count of an n-vertex graph avoiding the pattern's
     triangle blowup.  The lower bound is the joined construction, for trees
     and cycles, with the extra edge for even paths and even cycles (the
-    trees and cycles of maximum degree 2) when it fits."""
-    edge_count = len(pattern.edges)
-    degrees = pattern.degrees()
-    is_cycle = (
-        pattern.is_connected()
-        and edge_count == pattern.n
-        and all(d == 2 for d in degrees)
-    )
+    trees and cycles of maximum degree 2) when it fits; its freeness is
+    searched for n <= CONSTRUCTION_CHECK_LIMIT."""
+    edge_count, degrees = len(pattern.edges), pattern.degrees()
+    is_cycle = pattern.is_connected() and edge_count == pattern.n and all(d == 2 for d in degrees)
     construction = None
     if pattern.is_tree() or is_cycle:
         t = crosscut_value(pattern) - 1
         plus = edge_count % 2 == 0 and all(d <= 2 for d in degrees)
         if not (plus and (n - t) // 2 < 2):
-            size, build = partial(sbi_size, plus=plus), partial(s_graph, plus=plus)
-            construction = (t, size, build, find_blowup)
+            def free(n: int, t: int) -> bool | None:
+                if n <= CONSTRUCTION_CHECK_LIMIT:
+                    return find_blowup(s_graph(n, t, plus=plus), pattern) is None
+                return None
+
+            construction = (t, partial(sbi_size, plus=plus), free)
 
     def is_free(edges: frozenset, it) -> bool:
         graph = Graph(n, edges)
@@ -558,7 +558,7 @@ class AntiRamseyResult:
     base_size: int
     deletion_free: tuple[tuple[tuple[int, int], bool], ...]
     base_free_verified: bool
-    coloring: Coloring
+    coloring: Coloring | None
     rainbow_certificate: RainbowCertificate | None
     rainbow_free: bool | None
 
@@ -575,7 +575,7 @@ class AntiRamseyResult:
             ],
             "base_free_verified": self.base_free_verified,
             "rainbow_free": self.rainbow_free,
-            "colors": self.coloring.color_count,
+            "colors": self.base_size + (math.comb(self.n, 3) > self.base_size),
         }
 
 
@@ -602,10 +602,10 @@ def anti_ramsey_bounds(
     """Lower-bound certificate and asserted upper formula for the least
     color count forcing a rainbow expansion of the augmented tree.
 
-    lower = |base| + 2 for the apex base on sigma(tree)-1 apexes; freeness
-    of every single-edge deletion is verified by exact search, and for
-    n <= RAINBOW_CHECK_LIMIT the certificate coloring is exhaustively
-    checked for rainbow copies.  The upper value is the asserted formula
+    lower = |base| + 2 for the apex base S(n, sigma(tree)-1); freeness of
+    every single-edge deletion is decided by s_contains, and for n <=
+    RAINBOW_CHECK_LIMIT the certificate coloring is built and checked for
+    rainbow copies (None above).  The upper value is the asserted formula
     C(n,3) - C(n-sigma+1,3) + 2, reported, never recomputed.
     """
     if not tree.is_tree():
@@ -614,25 +614,25 @@ def anti_ramsey_bounds(
         raise InputError("second pattern is not the tree plus one edge")
     sigma = crosscut_value(tree)
     t = sigma - 1
-    base = s_construction(n, t)
+    _check_n(n)
+    base_size = s_size(n, t)
     deletion_free = []
     for e in augmentation.edge_list():
         reduced = augmentation.delete_edge(*e)
-        free = find_expansion(base, reduced) is None if reduced.edges else len(base) == 0
+        free = not s_contains(n, t, reduced) if reduced.edges else base_size == 0
         deletion_free.append((e, free))
-    coloring = lower_bound_coloring(base) if base.edges else constant_coloring(n)
-    cert = None
-    rainbow_free = None
+    coloring = cert = rainbow_free = None
     if n <= RAINBOW_CHECK_LIMIT:
+        coloring = lower_bound_coloring(s_construction(n, t)) if base_size else constant_coloring(n)
         cert = find_rainbow_expansion(coloring, augmentation)
         rainbow_free = cert is None
     return AntiRamseyResult(
         n=n,
         tree=tree,
         augmentation=augmentation,
-        lower=len(base.edges) + 2,
+        lower=base_size + 2,
         upper_formula=math.comb(n, 3) - math.comb(n - sigma + 1, 3) + 2,
-        base_size=len(base.edges),
+        base_size=base_size,
         deletion_free=tuple(deletion_free),
         base_free_verified=all(ok for _, ok in deletion_free),
         coloring=coloring,

@@ -489,6 +489,12 @@ def test_anti_ramsey_cli(files, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["lower"] == 23 and data["upper_formula"] == 23
+    argv = ["anti-ramsey", "--tree", str(files / "p3.edges"), "--aug", str(c4), "--n"]
+    assert main(argv + ["200"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["colors"], data["rainbow_free"]) == (19702, None)
+    assert main(argv + ["1000001"]) == 5
+    assert capsys.readouterr().err == "input error: vertex count 1000001 exceeds the limit 1000000\n"
 
 
 def test_usage_and_input_errors(files, tmp_path):

@@ -6,13 +6,22 @@ import json
 import math
 import random
 import re
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from crosscut import embed, lab, symmetry
-from crosscut.builders import balanced_bipartite, s_construction, s_graph, s_size
+from crosscut.builders import (
+    balanced_bipartite,
+    constant_coloring,
+    lower_bound_coloring,
+    s_construction,
+    s_contains,
+    s_graph,
+    s_size,
+)
 from crosscut.config import SearchBudget
 from crosscut.errors import BudgetExceededError, InputError
 from crosscut.lab import (
@@ -30,7 +39,15 @@ from crosscut.lab import (
 )
 from crosscut.structures import Graph, TripleSystem
 from crosscut.symmetry import key_and_twins
-from crosscut.trees import complete_graph, cycle_graph, enumerate_trees, path_graph, star_graph
+from crosscut.trees import (
+    complete_graph,
+    covering_number,
+    crosscut_value,
+    cycle_graph,
+    enumerate_trees,
+    path_graph,
+    star_graph,
+)
 
 from conftest import random_graph
 from oracles import (
@@ -184,8 +201,8 @@ def test_turan_work_counts_are_pinned(monkeypatch):
     the first child of every twin orbit, pruned families too, a labelled
     child reached from several parents is keyed once, and one search per
     isomorphism class per level answers all children with that key; the
-    searches include the construction's freeness check where the problem
-    has a construction.  A graph child whose new edge closes no triangle
+    searches include the triangle side's construction search, while the
+    apex construction is decided without one.  A graph child whose new edge closes no triangle
     needs no search."""
     counts = {"searches": 0, "keys": 0}
 
@@ -205,8 +222,8 @@ def test_turan_work_counts_are_pinned(monkeypatch):
         before = dict(counts)
         solve(n, pattern)
         per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
-    assert per_problem == [(12, 12), (17, 19), (189, 381), (43, 368), (59, 521)]
-    assert (counts["searches"], counts["keys"]) == (320, 1301)
+    assert per_problem == [(11, 12), (16, 19), (189, 381), (43, 368), (59, 521)]
+    assert (counts["searches"], counts["keys"]) == (318, 1301)
 
 
 def test_arrangement_search_work_is_pinned(monkeypatch):
@@ -414,7 +431,8 @@ def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
     "solve, pattern, n, value, free",
     [
         (exact_turan_hypergraph, path_graph(3), 16, 105, True),
-        (exact_turan_hypergraph, path_graph(3), 17, 120, None),
+        (exact_turan_hypergraph, path_graph(3), 17, 120, True),
+        (exact_turan_hypergraph, path_graph(3), 2**70, s_size(2**70, 1), True),
         (exact_generalized_turan, path_graph(3), 16, 56, True),
         (exact_generalized_turan, path_graph(3), 17, 64, None),
         (exact_turan_hypergraph, cycle_graph(4), 16, None, None),
@@ -422,8 +440,9 @@ def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
     ],
 )
 def test_construction_is_checked_up_to_its_limit(solve, pattern, n, value, free):
-    """Both entry points search their construction for n <= 16 and report
-    null above; C4 has the joined construction but no apex system."""
+    """The apex system is decided at every n, the joined construction is
+    searched for n <= 16 and reported null above; C4 has the joined
+    construction but no apex system."""
     result = solve(n, pattern, exhaustive=False)
     assert (result.lower_bound_construction_value, result.construction_free) == (value, free)
     assert result.value == (value or 0) and result.matches_construction is None
@@ -556,7 +575,7 @@ def test_benchmark_tracer_patch_points_stay():
     tracer = spans.Tracer()
     try:
         tracer.install(cc)  # every attribute it replaces must exist
-        result = exact_turan_hypergraph(6, path_graph(2))
+        result = exact_generalized_turan(6, path_graph(2))
     finally:
         tracer.uninstall()
     assert lab.find_expansion is embed.find_expansion
@@ -591,7 +610,7 @@ class TestExactTuranHypergraph:
         assert not result.exhaustive
         big = exact_turan_hypergraph(30, path_graph(3), exhaustive=False)
         assert big.value == s_size(30, 1)
-        assert big.construction_free is None  # verification capped
+        assert big.construction_free is True  # decided by the covering number
 
     def test_budget_gate(self, monkeypatch):
         """Above the cap both entry points stop before searching their
@@ -816,6 +835,93 @@ class TestAntiRamsey:
             aug = Graph(4, list(p3.edges) + aug_edges)
             result = anti_ramsey_bounds(8, p3, aug)
             assert result.lower <= result.upper_formula
+
+
+def _augmentation_candidates(tree: Graph) -> list[Graph]:
+    """Every chord and every pendant edge added to the tree, and one
+    disjoint edge."""
+    k, edges = tree.n, tree.edge_list()
+    chords = [e for e in itertools.combinations(range(k), 2) if e not in tree.edges]
+    return (
+        [Graph(k, edges + [e]) for e in chords]
+        + [Graph(k + 1, edges + [(v, k)]) for v in range(k)]
+        + [Graph(k + 2, edges + [(k, k + 1)])]
+    )
+
+
+class TestApexContainment:
+    """s_contains (n >= |V| + |E| and covering number <= t) against the
+    exhaustive search it replaces."""
+
+    def test_trees_around_both_thresholds(self):
+        cases = 0
+        for k in range(2, 7):  # a 7-vertex negative alone takes seconds
+            for tree in enumerate_trees(k):
+                tau, need = covering_number(tree), tree.n + len(tree.edges)
+                for t, n in itertools.product((tau - 1, tau), (need - 1, need, need + 1)):
+                    searched = embed.find_expansion(s_construction(n, t), tree) is not None
+                    assert s_contains(n, t, tree) == searched, (tree.edge_list(), t, n)
+                    cases += 1
+        assert cases == 78
+
+    def test_random_graphs(self):
+        """Isolated vertices, cycles and several components included; at
+        most 8 edges, since denser negatives take seconds each."""
+        rng = random.Random(21)
+        shapes = {"isolated": 0, "cycle": 0, "components": 0, "contained": 0, "free": 0}
+        for _ in range(150):
+            graph = Graph(0, [])
+            while not 1 <= len(graph.edges) <= 8:
+                graph = random_graph(rng, rng.randint(2, 6), rng.choice([0.25, 0.4, 0.55]))
+            components = len(graph.components())
+            shapes["isolated"] += 0 in graph.degrees()
+            shapes["cycle"] += len(graph.edges) > graph.n - components
+            shapes["components"] += components > 1
+            need = graph.n + len(graph.edges)
+            for n in (need - 1, need):
+                for t in range(min(3, n) + 1):
+                    searched = embed.find_expansion(s_construction(n, t), graph) is not None
+                    assert s_contains(n, t, graph) == searched, (graph.edge_list(), t, n)
+                    shapes["contained" if searched else "free"] += 1
+        assert all(shapes.values()), shapes
+
+    def test_anti_ramsey_fields_match_the_search(self):
+        """deletion_free is the search's answer on the base, and colors is
+        the color count of the lower-bound coloring, built or not."""
+        for k in range(2, 6):
+            for tree in enumerate_trees(k):
+                t = crosscut_value(tree) - 1
+                for aug in _augmentation_candidates(tree):
+                    if not is_augmentation_of(aug, tree):
+                        continue
+                    for n in range(3, 11):
+                        result = anti_ramsey_bounds(n, tree, aug)
+                        base = s_construction(n, t)
+                        want = [
+                            (e, embed.find_expansion(base, aug.delete_edge(*e)) is None)
+                            for e in aug.edge_list()
+                        ]
+                        assert list(result.deletion_free) == want, (aug.edge_list(), n)
+                        coloring = lower_bound_coloring(base) if base.edges else constant_coloring(n)
+                        assert result.to_json()["colors"] == coloring.color_count
+                        assert (result.coloring is None) == (n > lab.RAINBOW_CHECK_LIMIT)
+
+    def test_apex_containment_runs_no_search(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("apex system searched")
+
+        monkeypatch.setattr(lab, "find_expansion", searched)
+        result = exact_turan_hypergraph(16, path_graph(6), exhaustive=False)
+        assert (result.value, result.construction_free) == (s_size(16, 2), True)
+        assert anti_ramsey_bounds(10, path_graph(3), cycle_graph(4)).base_free_verified
+
+    def test_anti_ramsey_at_large_n_builds_nothing(self):
+        start = time.perf_counter()
+        result = anti_ramsey_bounds(200, path_graph(3), cycle_graph(4))
+        assert time.perf_counter() - start < 1
+        assert result.coloring is None and result.rainbow_free is None
+        assert result.to_json()["colors"] == s_size(200, 1) + 1 == 19702
+        assert result.base_free_verified
 
 
 class TestConstructionFreenessInvariant:
