@@ -309,8 +309,13 @@ def exact_generalized_turan(
     and cycles, with the extra edge for even paths and even cycles (the
     trees and cycles of maximum degree 2) when it fits; its freeness is
     searched for n <= CONSTRUCTION_CHECK_LIMIT."""
-    edge_count, degrees = len(pattern.edges), pattern.degrees()
-    is_cycle = pattern.is_connected() and edge_count == pattern.n and all(d == 2 for d in degrees)
+    edge_count = len(pattern.edges)
+    degrees = pattern.degrees()
+    is_cycle = (
+        pattern.is_connected()
+        and edge_count == pattern.n
+        and all(d == 2 for d in degrees)
+    )
     construction = None
     if pattern.is_tree() or is_cycle:
         t = crosscut_value(pattern) - 1
@@ -351,8 +356,10 @@ def cached_turan(
     exhaustive: bool = True,
 ) -> dict:
     """Content-addressed JSON cache keyed by (mode, n, canonical pattern),
-    plus "lower-only" for lower-bound results, so that those never answer
-    an exhaustive request (exhaustive keys are unchanged).  A cache file
+    plus "lower-only", "covering-number" for lower-bound results: the first
+    tag keeps them from an exhaustive request, the second from files
+    written while hypergraph construction_free was null for n > 16
+    (exhaustive keys are unchanged).  A cache file
     that is not a JSON object with every TuranResult field is recomputed
     and rewritten.  A hit reports the requested pattern's edges, the one
     field that an isomorphic pattern under the same key can change."""
@@ -362,7 +369,7 @@ def cached_turan(
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = [mode, n, canonical_graph_key(pattern)]
     if not exhaustive:
-        key.append("lower-only")
+        key += ["lower-only", "covering-number"]
     digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
     path = cache_dir / f"turan-{digest}.json"
     if path.exists():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -490,7 +491,9 @@ def test_anti_ramsey_cli(files, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["lower"] == 23 and data["upper_formula"] == 23
     argv = ["anti-ramsey", "--tree", str(files / "p3.edges"), "--aug", str(c4), "--n"]
+    start = time.perf_counter()
     assert main(argv + ["200"]) == 0
+    assert time.perf_counter() - start < 1  # no coloring is built above n = 8
     data = json.loads(capsys.readouterr().out)
     assert (data["colors"], data["rainbow_free"]) == (19702, None)
     assert main(argv + ["1000001"]) == 5
