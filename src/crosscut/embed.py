@@ -5,11 +5,12 @@ into the shadow of H and every pattern edge can be completed by its own
 fresh host vertex.  The search backtracks over shadow embeddings (pattern
 vertices by decreasing degree adjusted for connectivity, host candidates by
 increasing id) and assigns completion vertices by a bipartite matching kept
-along the DFS, so the decision never depends on greedy slack.  A slot takes
-an unheld vertex at once (a held-vertex mask); alternating paths run only
-when all its candidates are held.  The canonical assignment is derived from
-the matching at the leaf; partial-copy completion uses the same matcher.
-The same DFS, rooted at a host triple, finds the copies through it.
+along the DFS, so the decision never depends on greedy slack.  A depth
+tries only host vertices the matching can absorb; a slot takes an unheld
+vertex at once, and alternating paths run only when all are held.  The
+canonical assignment is derived from the matching at the leaf; partial-copy
+completion uses the same matcher.  The same DFS, rooted at a host triple,
+finds the copies through it.
 """
 
 from __future__ import annotations
@@ -302,34 +303,64 @@ def find_expansion(
     A slot needing a vertex takes its least candidate outside the core and
     `held`, and runs `_augment` only when all are held.  The other slots
     are matched, so this succeeds iff a full matching exists (Berge):
-    acceptance and node counts do not depend on the matching held.  With
+    acceptance and node counts do not depend on the matching held, and
+    `_search`'s look-ahead skips only candidates that would fail.  With
     deterministic=True the certificate is canonical: least shadow images in
     the search order, then the lexicographically least completion, which
     `_lex_least` derives from any full matching; otherwise the leaf takes
     the matching it holds.  Package callers keep the default; the
     benchmark's tracer still passes it positionally.
     """
-    return _search(host, pattern, _plan(pattern), deterministic, budget)
+    if not pattern.edges:
+        raise InputError("pattern needs at least one edge")
+    if pattern.n + len(pattern.edges) > host.n:
+        return None
+    rows = _codegree_rows(host)
+    return _search(host, pattern, _plan(pattern), rows, None, deterministic, budget)
+
+
+def _codegree_rows(host: TripleSystem) -> list[dict[int, int]]:
+    """rows[a][b]: the codegree mask of the shadow pair (a, b); sparse."""
+    rows: list[dict[int, int]] = [{} for _ in range(host.n)]
+    for (a, b), mask in host.pair_nbr.items():
+        rows[a][b] = rows[b][a] = mask
+    return rows
+
+
+def _absorbable(masks: list[int], match: list[int], k: int, free: int) -> int:
+    """The vertices that slots 0..k-1, all matched, can do without: `free`
+    (the unheld vertices outside the core) and each held vertex whose
+    holder has an alternating path to a free one (Berge)."""
+    todo = range(k)
+    while todo:
+        rest = []
+        for s in todo:
+            if masks[s] & free:
+                free |= 1 << match[s]
+            else:
+                rest.append(s)
+        todo = rest if len(rest) < len(todo) else ()
+    return free
 
 
 def _search(
-    host: TripleSystem, pattern: Graph, plan: tuple, deterministic: bool,
-    budget: SearchBudget | None, root: tuple[int, int, int] | None = None,
+    host: TripleSystem, pattern: Graph, plan: tuple, rows: list[dict[int, int]],
+    root: tuple[int, int, int] | None, deterministic: bool = False,
+    budget: SearchBudget | None = None,
 ) -> Embedding | None:
-    """find_expansion's DFS along a `_plan`.  A root (x, y, z) puts the
-    plan's root edge (a, b) on x and y with completion z: the DFS starts at
-    depth 1 with the one candidate y and stops there, and finds exactly the
-    copies that complete (a, b) by the triple {x, y, z}."""
-    if not pattern.edges:
-        raise InputError("pattern needs at least one edge")
-    m = len(pattern.edges)
-    if pattern.n + m > host.n:
-        return None
-    pair_nbr = host.pair_nbr
-    adj = [0] * host.n
-    for a, b in pair_nbr:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    """find_expansion's DFS along a `_plan` with the host's `rows`.  A root
+    (x, y, z) puts the plan's root edge (a, b) on x and y with completion
+    z: the DFS starts at depth 1 with the one candidate y and stops there,
+    and finds exactly the copies that complete (a, b) by {x, y, z}.
+
+    Look-ahead: entering a depth with matching M, a candidate h must be in
+    `avail` (`_absorbable`), and each new pair (a, h) needs a codegree
+    vertex in `avail`.  Both are necessary: if the try succeeds with M',
+    each path of M' xor M from h's holder or a new slot ends at a vertex
+    unheld in M, outside the core and h, so every vertex on it is in
+    `avail`.  So accepted nodes, their order, the matchings held and the
+    certificates are those of the unfiltered DFS; a holder always moves,
+    and a new slot always has a vertex outside the core and h."""
     pos, back, first_slot, pat_edges, edge_slot = plan
     last = pattern.n - 1
     full = (1 << host.n) - 1
@@ -337,8 +368,8 @@ def _search(
     cands = [0] * pattern.n  # untried candidates at depth i
     saved: list[tuple[list[int], list[int]]] = [([], [])] * pattern.n
     helds = [0] * pattern.n  # held at depth i, kept apart from saved[i]
-    masks = [0] * m
-    match = [-1] * m
+    masks = [0] * len(pat_edges)
+    match = [-1] * len(pat_edges)
     owner = [-1] * host.n
     if budget is not None:
         budget.tick()
@@ -348,10 +379,10 @@ def _search(
     cands[0] = full
     if root is not None:
         x, y, z = root
-        pair = (x, y) if x < y else (y, x)
-        if not pair_nbr.get(pair, 0) >> z & 1:
+        if not rows[x].get(y, 0) >> z & 1:
             return None  # not a host triple
-        pair_nbr = {**pair_nbr, pair: 1 << z}
+        rows = rows[:]  # the root slot reads row x, at depth 1 only
+        rows[x] = {**rows[x], y: 1 << z}
         hs[0], core, i = x, 1 << x, 1
         cands[1] = 1 << y
     bottom = i
@@ -370,45 +401,37 @@ def _search(
         cands[i] = cand ^ bit
         h = bit.bit_length() - 1
         inner = core | bit
-        ok = True
         holder = owner[h]
         if holder >= 0:
             owner[h] = -1
             match[holder] = -1
             held ^= bit
             # a free candidate is an augmenting path of length one
-            free = masks[holder] & ~inner
-            took = free & ~held
+            took = masks[holder] & ~inner & ~held
             if took:
                 took &= -took
                 v = took.bit_length() - 1
                 match[holder] = v
                 owner[v] = holder
-            elif free:
+            else:
                 took = _augment(holder, masks, inner, match, owner)
             held |= took
-            ok = took != 0
-        if ok:
-            s = first_slot[i]
-            for d in back[i]:
-                a = hs[d]
-                free = pair_nbr[(a, h) if a < h else (h, a)]
-                masks[s] = free
-                free &= ~inner
-                took = free & ~held
-                if took:
-                    took &= -took
-                    v = took.bit_length() - 1
-                    match[s] = v
-                    owner[v] = s
-                elif free:
-                    took = _augment(s, masks, inner, match, owner)
+        s = first_slot[i]
+        for d in back[i]:
+            masks[s] = took = rows[hs[d]][h]
+            took &= ~inner & ~held
+            if took:
+                took &= -took
+                v = took.bit_length() - 1
+                match[s] = v
+                owner[v] = s
+            else:
+                took = _augment(s, masks, inner, match, owner)
                 if not took:
-                    ok = False
                     break
-                held |= took
-                s += 1
-        if not ok:
+            held |= took
+            s += 1
+        if s < first_slot[i + 1]:  # a new slot found no vertex
             match[:], owner[:] = saved[i]
             held = helds[i]
             continue
@@ -431,9 +454,13 @@ def _search(
             )
         i += 1
         core = inner
-        cand = full & ~core
+        avail = cand = _absorbable(masks, match, first_slot[i], full & ~core & ~held)
         for d in back[i]:
-            cand &= adj[hs[d]]
+            link = 0
+            for w, mask in rows[hs[d]].items():
+                if avail >> w & 1:
+                    link |= mask
+            cand &= link
         cands[i] = cand
         saved[i] = (match[:], owner[:])
         helds[i] = held
@@ -471,11 +498,14 @@ def expansion_through(host: TripleSystem, pattern: Graph, triples) -> bool:
     edge orbit: twin transpositions generate the symmetric group on each
     twin class, so an automorphism maps (a, b) onto any edge of its orbit,
     and when a and b are twins, (a b) is one, so x < y suffices."""
+    if pattern.n + len(pattern.edges) > host.n:
+        return False
+    rows = _codegree_rows(host)  # shared by every rooted search
     for a, b, twins in _edge_orbits(pattern):
         plan = _plan(pattern, (a, b))
         for triple in triples:
             for x, y, z in itertools.permutations(triple):
-                if (x < y or not twins) and _search(host, pattern, plan, False, None, (x, y, z)):
+                if (x < y or not twins) and _search(host, pattern, plan, rows, (x, y, z)):
                     return True
     return False
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from crosscut.builders import (
 from crosscut.config import SearchBudget
 from crosscut.embed import (
     AlternatingWitness,
+    _absorbable,
     _augment,
     _lex_least,
     _lex_least_sdr,
@@ -228,6 +230,64 @@ class TestFindExpansion:
                 found += 1
         assert (len(searches), found) == (753, 385)
 
+    def test_look_ahead_keeps_the_reference_search_where_it_prunes_most(self):
+        # apex hosts, complete hosts and triangle systems hold many vertices
+        # that slots could use, and patterns with cycles complete several
+        # pairs per vertex: the look-ahead removes the most candidates here,
+        # and each decision, node count and certificate is still the
+        # reference search's, rooted searches the brute force's
+        paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        k4_minus_e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        cyclic = [cycle_graph(k) for k in range(3, 7)] + [complete_graph(4), paw, k4_minus_e]
+        trees = [t for v in range(3, 7) for t in enumerate_trees(v)]
+        hosts = [s_construction(n, t) for t in (1, 2, 3) for n in (8, 10, 12)]
+        hosts += [complete_3graph(n) for n in (6, 8, 10)]
+        hosts += [triangle_system(s_graph(n, t)) for t in (1, 2, 3) for n in (7, 9)]
+        found = 0
+        for host in hosts:
+            for pat in cyclic + trees:
+                budget, ref_budget = SearchBudget(), SearchBudget()
+                got = find_expansion(host, pat, True, budget)
+                assert got == find_expansion_reference(host, pat, True, ref_budget)
+                assert budget.nodes == ref_budget.nodes
+                found += got is not None
+        assert found == 129
+        rng = random.Random(7)
+        small = [s_construction(n, t) for t in (1, 2) for n in (7, 9)]
+        small += [complete_3graph(7), complete_3graph(9)]
+        small += [triangle_system(s_graph(8, t)) for t in (1, 2)]
+        answers = []
+        for host in small:
+            for pat in cyclic[:2] + cyclic[4:] + trees[:3]:
+                if pat.n + len(pat.edges) > host.n:
+                    continue
+                triples = [rng.choice(host.edge_list())]
+                triples.append(rng.choice(list(itertools.combinations(range(host.n), 3))))
+                want = expansion_through_naive(host, pat, triples)
+                assert expansion_through(host, pat, triples) == want, (host, pat, triples)
+                answers.append(want)
+        assert 10 <= sum(answers) <= len(answers) - 10
+
+    def test_tables_stay_sparse_and_trivial_instances_build_none(self, monkeypatch):
+        # the codegree rows take O(n + shadow pairs): a 3,000-vertex host
+        # with 4 triples needs far less than one n x n table
+        host = TripleSystem(3000, [(0, 1, 2), (0, 1, 3), (1, 2, 4), (2990, 2995, 2999)])
+        tracemalloc.start()
+        try:
+            emb = find_expansion(host, path_graph(2))
+            through = expansion_through(host, path_graph(2), [(0, 1, 3), (2990, 2995, 2999)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb is not None and emb.validate(host) and through
+        assert peak < 2 << 20
+        # an instance too large for the host is answered before any table
+        monkeypatch.setattr(embed, "_codegree_rows", None)
+        assert find_expansion(host, path_graph(3000)) is None
+        assert expansion_through(host, path_graph(3000), [(0, 1, 2)]) is False
+        with pytest.raises(InputError):  # the edgeless check still comes first
+            find_expansion(host, Graph(3001, []))
+
     def test_cached_plans_give_the_certificates_of_fresh_ones(self):
         # plans are cached by pattern value: an equal pattern built apart
         # reuses one, a relabelled pattern gets its own
@@ -395,6 +455,31 @@ class TestCompletionMatcher:
         rng.shuffle(order)
         expect = lex_least_sdr_naive([masks[s] & ~blocked for s in order])
         assert _lex_least(masks, blocked, match, owner, order) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masks,
+        st.integers(0, 6),
+        st.sets(st.integers(0, 9), max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_absorbable_vertices_match_brute_force(self, masks, k, core, rng):
+        # whatever matching of the first k slots is held, a vertex outside
+        # the core is absorbable exactly when those slots have a full
+        # matching without it
+        k = min(k, len(masks))
+        blocked = sum(1 << v for v in core)
+        match, owner = [-1] * len(masks), [-1] * 10
+        order = list(range(k))
+        rng.shuffle(order)
+        if not all(_augment(s, masks, blocked, match, owner) for s in order):
+            return
+        held = sum(1 << match[s] for s in range(k))
+        got = _absorbable(masks, match, k, (1 << 10) - 1 & ~blocked & ~held)
+        for v in range(10):
+            rest = [mask & ~blocked & ~(1 << v) for mask in masks[:k]]
+            want = v not in core and lex_least_sdr_naive(rest) is not None
+            assert (got >> v & 1) == want, (v, match)
 
     def test_certificates_use_the_least_completion(self):
         # brute force over every SDR of the canonical shadow images
