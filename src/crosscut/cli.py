@@ -270,7 +270,7 @@ def _cmd_check(args) -> int:
         problems = emb.violations(load_structure(args.host))
     else:
         coloring = load_coloring(args.host)
-        colors = data.get("colors", [])
+        colors = data.get("colors")
         if not (isinstance(colors, list) and all(_is_int(c) for c in colors)):
             raise InputError(f"{path}: colors must be a list of integers")
         # the colored triples are every triple of [n]: the complete host

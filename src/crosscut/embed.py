@@ -136,27 +136,27 @@ class RainbowCertificate:
 # completion matching
 #
 # Slots (pattern edges) are matched to host vertices: masks[s] holds the
-# candidates of slot s, match[s] its vertex (-1 while unmatched) and
-# owner[v] the slot holding vertex v (-1 while free).  The expansion search
+# candidates of slot s, match[s] its vertex (-1 while unmatched) and the
+# caller's `held` the mask of the matched vertices; the holder of a held
+# vertex v is match.index(v), a scan of the few slots.  The expansion search
 # keeps one such matching along its DFS, so each step costs at most a few
 # alternating-path searches (Hopcroft & Karp 1973) instead of a matching
 # computed from scratch, and none when a candidate is free (the cheap
 # assignment of Duff, Kaya & Ucar 2011).
 
 
-def _augment(
-    slot: int, masks: list[int], blocked: int, match: list[int], owner: list[int]
-) -> int:
+def _augment(slot: int, masks: list[int], blocked: int, match: list[int], held: int) -> int:
     """Search an alternating path from the unmatched slot that avoids the
-    vertices in `blocked`.  On success the path is flipped, so the slot is
-    matched as well, and the bit of its end, the vertex newly held, is
-    returned; on failure nothing changes and 0 is returned.
+    vertices in `blocked`; `held` must be the mask of the matched vertices.
+    On success the path is flipped, so the slot is matched as well, and the
+    bit of its end, the vertex newly held, is returned (the caller ORs it
+    into `held`); on failure nothing changes and 0 is returned.
 
     When every other slot is matched, a matching covering all slots exists
     iff such a path exists (Berge), so one call decides feasibility.
     """
     seen = blocked
-    stack = [slot]  # stack[j + 1] owns the vertex via[j] that stack[j] wants
+    stack = [slot]  # stack[j + 1] holds the vertex via[j] that stack[j] wants
     via: list[int] = []
     while stack:
         cand = masks[stack[-1]] & ~seen
@@ -168,15 +168,12 @@ def _augment(
         bit = cand & -cand
         seen |= bit
         v = bit.bit_length() - 1
-        holder = owner[v]
-        if holder >= 0:
-            stack.append(holder)
+        if held & bit:
+            stack.append(match.index(v))
             via.append(v)
             continue
         for j in range(len(stack) - 1, -1, -1):
-            s = stack[j]
-            match[s] = v
-            owner[v] = s
+            match[stack[j]] = v
             if j:
                 v = via[j - 1]
         return bit
@@ -184,16 +181,17 @@ def _augment(
 
 
 def _lex_least(
-    masks: list[int], blocked: int, match: list[int], owner: list[int], slots: Iterable[int]
+    masks: list[int], blocked: int, match: list[int], held: int, slots: Iterable[int]
 ) -> list[int]:
     """Lexicographically least assignment of the given slots, in that order,
-    derived from a matching that already covers every slot.
+    derived from a matching that already covers every slot; `held` must be
+    the mask of its vertices.
 
     Each slot in turn is fixed to its least vertex that still admits a
-    matching of the unfixed slots: moving it onto vertex v displaces v's
-    holder, and one alternating-path search from the holder, with v and the
-    fixed slots' vertices blocked, decides v.  The current vertex always
-    qualifies, so only smaller ones are tried.
+    matching of the unfixed slots: moving it off w onto vertex v displaces
+    v's holder, and one alternating-path search from the holder, with v and
+    the fixed slots' vertices blocked and w unheld, decides v.  The current
+    vertex always qualifies, so only smaller ones are tried.
     """
     fixed = blocked
     out = []
@@ -204,21 +202,21 @@ def _lex_least(
             bit = cand & -cand
             cand ^= bit
             v = bit.bit_length() - 1
-            holder = owner[v]
-            owner[w] = -1
-            match[s] = v
-            owner[v] = s
-            if holder < 0:
+            if not held & bit:
+                match[s] = v
+                held ^= bit | 1 << w
                 w = v
                 break
+            holder = match.index(v)
+            match[s] = v
             match[holder] = -1
-            if _augment(holder, masks, fixed | bit, match, owner):
+            took = _augment(holder, masks, fixed | bit, match, held ^ 1 << w)
+            if took:
+                held ^= 1 << w ^ took
                 w = v
                 break
             match[s] = w
-            owner[w] = s
             match[holder] = v
-            owner[v] = holder
         fixed |= 1 << w
         out.append(w)
     return out
@@ -228,11 +226,13 @@ def _lex_least_sdr(masks: list[int]) -> list[int] | None:
     """Lexicographically least system of distinct representatives of the
     masks, or None when there is none."""
     match = [-1] * len(masks)
-    owner = [-1] * max((mask.bit_length() for mask in masks), default=0)
+    held = 0
     for s in range(len(masks)):
-        if not _augment(s, masks, 0, match, owner):
+        took = _augment(s, masks, 0, match, held)
+        if not took:
             return None
-    return _lex_least(masks, 0, match, owner, range(len(masks)))
+        held |= took
+    return _lex_least(masks, 0, match, held, range(len(masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +298,14 @@ def find_expansion(
     Returns None iff no embedding exists.  The DFS places pattern vertices
     in `_embedding_order`, host candidates by increasing id, and accepts a
     candidate only if the completed pattern edges still have distinct
-    completion vertices outside the core.  That matching and `held`, the
-    mask of its vertices, are kept along the DFS and restored on backtrack.
-    A slot needing a vertex takes its least candidate outside the core and
-    `held`, and runs `_augment` only when all are held.  The other slots
-    are matched, so this succeeds iff a full matching exists (Berge):
-    acceptance and node counts do not depend on the matching held, and
+    completion vertices outside the core.  That matching, one list of
+    |E(F)| slots, and `held`, the mask of its vertices (the precondition of
+    `_augment` and `_lex_least`), are kept along the DFS and restored on
+    backtrack, so no step copies a list of host size.  A slot needing a
+    vertex takes its least candidate outside the core and `held`, and runs
+    `_augment` only when all are held.  The other slots are matched, so
+    this succeeds iff a full matching exists (Berge): acceptance and node
+    counts do not depend on the matching held, and
     `_search`'s look-ahead skips only candidates that would fail.  With
     deterministic=True the certificate is canonical: least shadow images in
     the search order, then the lexicographically least completion, which
@@ -366,11 +368,10 @@ def _search(
     full = (1 << host.n) - 1
     hs = [0] * pattern.n  # host image of order[i]
     cands = [0] * pattern.n  # untried candidates at depth i
-    saved: list[tuple[list[int], list[int]]] = [([], [])] * pattern.n
-    helds = [0] * pattern.n  # held at depth i, kept apart from saved[i]
+    saved: list[list[int]] = [[]] * pattern.n  # match at depth i
+    helds = [0] * pattern.n  # held at depth i
     masks = [0] * len(pat_edges)
     match = [-1] * len(pat_edges)
-    owner = [-1] * host.n
     if budget is not None:
         budget.tick()
     i = 0
@@ -386,7 +387,7 @@ def _search(
         hs[0], core, i = x, 1 << x, 1
         cands[1] = 1 << y
     bottom = i
-    saved[i] = (match[:], owner[:])
+    saved[i] = match[:]
     while True:
         cand = cands[i]
         if not cand:
@@ -394,27 +395,24 @@ def _search(
                 return None
             i -= 1
             core ^= 1 << hs[i]
-            match[:], owner[:] = saved[i]
+            match[:] = saved[i]
             held = helds[i]
             continue
         bit = cand & -cand
         cands[i] = cand ^ bit
         h = bit.bit_length() - 1
         inner = core | bit
-        holder = owner[h]
-        if holder >= 0:
-            owner[h] = -1
+        if held & bit:
+            holder = match.index(h)
             match[holder] = -1
             held ^= bit
             # a free candidate is an augmenting path of length one
             took = masks[holder] & ~inner & ~held
             if took:
                 took &= -took
-                v = took.bit_length() - 1
-                match[holder] = v
-                owner[v] = holder
+                match[holder] = took.bit_length() - 1
             else:
-                took = _augment(holder, masks, inner, match, owner)
+                took = _augment(holder, masks, inner, match, held)
             held |= took
         s = first_slot[i]
         for d in back[i]:
@@ -422,17 +420,15 @@ def _search(
             took &= ~inner & ~held
             if took:
                 took &= -took
-                v = took.bit_length() - 1
-                match[s] = v
-                owner[v] = s
+                match[s] = took.bit_length() - 1
             else:
-                took = _augment(s, masks, inner, match, owner)
+                took = _augment(s, masks, inner, match, held)
                 if not took:
                     break
             held |= took
             s += 1
         if s < first_slot[i + 1]:  # a new slot found no vertex
-            match[:], owner[:] = saved[i]
+            match[:] = saved[i]
             held = helds[i]
             continue
         if budget is not None:
@@ -440,7 +436,7 @@ def _search(
         hs[i] = h
         if i == last:
             if deterministic:
-                assign = _lex_least(masks, inner, match, owner, edge_slot)
+                assign = _lex_least(masks, inner, match, held, edge_slot)
             else:
                 assign = [match[s] for s in edge_slot]
             # tuple() of a list, not of an iterator: the latter allocates a
@@ -462,7 +458,7 @@ def _search(
                     link |= mask
             cand &= link
         cands[i] = cand
-        saved[i] = (match[:], owner[:])
+        saved[i] = match[:]
         helds[i] = held
 
 

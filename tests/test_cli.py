@@ -280,6 +280,7 @@ CHERRY_RAINBOW = (
         (CHERRY_RAINBOW, 0),
         (CHERRY_RAINBOW.replace("[1, 7]", "null"), 5),
         (CHERRY_RAINBOW.replace("[1, 7]", '[1, "7"]'), 5),
+        (CHERRY_RAINBOW.replace(', "colors": [1, 7]', ""), 5),
         (CHERRY_RAINBOW.replace('"3graph"', '"graph"'), 5),
         (CHERRY_RAINBOW.replace("[1, 7]", "[1, 8]"), 3),
         (CHERRY_RAINBOW.replace("[1, 0, 2]", "[1, 0, 1]"), 3),

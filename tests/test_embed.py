@@ -194,6 +194,15 @@ class TestFindExpansion:
         ]
         assert missing == [0, 1, 15, 23, 27]
 
+    def test_sparse_negative_node_count_is_pinned(self):
+        # depth 0 tries every host vertex, also those in no triple, and each
+        # of the 12 triple vertices has 2 shadow neighbours at depth 1; a
+        # depth entry saves only the slot list, so this stays fast
+        host = TripleSystem(6000, [(4 * k, 4 * k + 1, 4 * k + 2) for k in range(4)])
+        budget = SearchBudget()
+        assert find_expansion(host, path_graph(2), budget=budget) is None
+        assert budget.nodes == 6025
+
     def test_certificates_and_node_counts_match_the_reference_search(self):
         # the held-vertex fast path changes which matching the DFS holds,
         # never whether one exists, so every decision, node count and
@@ -415,14 +424,14 @@ class TestCompletionMatcher:
         # the expansion search's use: slots are added one augmentation at a
         # time, a blocked vertex re-augments only the slot that held it, and
         # the least assignment is derived from the matching held at the end;
-        # a success returns the bit of the one vertex it newly holds
+        # a success returns the bit of the one vertex it newly holds, and
+        # the caller's `held` stays the mask of the matched vertices
         masks: list[int] = []
         match: list[int] = []
-        owner = [-1] * 10
-        blocked = 0
+        held = blocked = 0
 
-        def held():
-            return sum(1 << v for v in range(10) if owner[v] >= 0)
+        def matched():
+            return sum(1 << v for v in match if v >= 0)
 
         for kind, x in ops:
             got = None  # what _augment returned, when it was called
@@ -431,30 +440,34 @@ class TestCompletionMatcher:
                     continue
                 masks.append(x)
                 match.append(-1)
-                before = held()
-                got = _augment(len(masks) - 1, masks, blocked, match, owner)
+                got = _augment(len(masks) - 1, masks, blocked, match, held)
             else:
                 if (blocked >> x) & 1:
                     continue
                 blocked |= 1 << x
-                holder = owner[x]
-                if holder >= 0:
-                    owner[x] = -1
+                if held >> x & 1:
+                    holder = match.index(x)
                     match[holder] = -1
-                    before = held()
-                    got = _augment(holder, masks, blocked, match, owner)
+                    held ^= 1 << x
+                    got = _augment(holder, masks, blocked, match, held)
             ok = got is None or got != 0
             effective = [mask & ~blocked for mask in masks]
             assert ok == (lex_least_sdr_naive(effective) is not None)
             if not ok:
                 return
             if got is not None:
-                assert got & (got - 1) == 0 and got == held() & ~before
-            assert all((effective[s] >> v) & 1 and owner[v] == s for s, v in enumerate(match))
+                assert got & (got - 1) == 0 and got & held == 0
+                held |= got
+            assert matched() == held
+            assert len(set(match)) == len(match)
+            assert all((effective[s] >> v) & 1 for s, v in enumerate(match))
         order = list(range(len(masks)))
         rng.shuffle(order)
         expect = lex_least_sdr_naive([masks[s] & ~blocked for s in order])
-        assert _lex_least(masks, blocked, match, owner, order) == expect
+        assert _lex_least(masks, blocked, match, held, order) == expect
+        # the matching left behind is the least assignment itself, so the
+        # caller's new `held` is the OR of the assignment's bits
+        assert [match[s] for s in order] == expect
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -469,12 +482,15 @@ class TestCompletionMatcher:
         # matching without it
         k = min(k, len(masks))
         blocked = sum(1 << v for v in core)
-        match, owner = [-1] * len(masks), [-1] * 10
+        match, held = [-1] * len(masks), 0
         order = list(range(k))
         rng.shuffle(order)
-        if not all(_augment(s, masks, blocked, match, owner) for s in order):
-            return
-        held = sum(1 << match[s] for s in range(k))
+        for s in order:
+            took = _augment(s, masks, blocked, match, held)
+            if not took:
+                return
+            held |= took
+        assert held == sum(1 << match[s] for s in range(k))
         got = _absorbable(masks, match, k, (1 << 10) - 1 & ~blocked & ~held)
         for v in range(10):
             rest = [mask & ~blocked & ~(1 << v) for mask in masks[:k]]
