@@ -176,7 +176,10 @@ def lower_bound_coloring(base: TripleSystem) -> Coloring:
 
     When the base avoids every single-edge deletion of a pattern, any
     rainbow copy of the pattern's expansion would have to place all but one
-    of its triples inside the base, so none exists.
+    of its triples inside the base, so none exists.  Conversely, when
+    n >= |V| + |E|, a copy of a deletion's expansion in the base extends to
+    a rainbow copy: the last triple takes any unused vertex, and its color
+    (its own if a base edge, else the surplus) repeats none of the others.
     """
     if not base.edges:
         raise InputError("lower-bound coloring needs a nonempty base")

@@ -27,7 +27,7 @@ from .builders import (
 )
 from .config import RunConfig, parse_config_file
 from .embed import Embedding, find_blowup, find_expansion, find_rainbow_expansion
-from .errors import BudgetExceededError, InputError, UsageError
+from .errors import BudgetExceededError, InputError, UsageError, digit_limit_as_input_error
 from .fileio import (
     dumps_coloring,
     load_coloring,
@@ -49,15 +49,16 @@ EXIT_INPUT = 5
 def _emit(data: dict, out: str | None, rows: list[dict] | None = None, fmt: str = "json") -> None:
     """Write a JSON report (sorted keys, timestamped) or, when rows are
     provided and csv is selected, a flat table for external plotting."""
-    if fmt == "csv" and rows is not None:
-        header = sorted({k for r in rows for k in r})
-        lines = [",".join(header)]
-        lines += [",".join(str(r.get(k, "")) for k in header) for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        data = dict(data)
-        data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    with digit_limit_as_input_error():
+        if fmt == "csv" and rows is not None:
+            header = sorted({k for r in rows for k in r})
+            lines = [",".join(header)]
+            lines += [",".join(str(r.get(k, "")) for k in header) for r in rows]
+            text = "\n".join(lines) + "\n"
+        else:
+            data = dict(data)
+            data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+            text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:

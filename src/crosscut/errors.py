@@ -5,6 +5,9 @@ BudgetExceededError -> 4.  "Decided negative" (a search returning None)
 is not an error and maps to exit code 3.
 """
 
+import sys
+from contextlib import contextmanager
+
 
 class InputError(ValueError):
     """Invalid input value: malformed file, out-of-range vertex, bad parameter."""
@@ -31,3 +34,15 @@ class HypothesisError(InputError):
     def __init__(self, hypothesis: str, message: str):
         super().__init__(f"{hypothesis}: {message}")
         self.hypothesis = hypothesis
+
+
+@contextmanager
+def digit_limit_as_input_error():
+    """Report an int too long for str() (int_max_str_digits) as an InputError.
+    Wrap serialisation alone: any ValueError inside is taken for that."""
+    try:
+        yield
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        message = f"a value has more than {limit} digits, the limit for printing an integer"
+        raise InputError(message) from None

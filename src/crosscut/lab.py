@@ -15,9 +15,6 @@ from functools import partial
 from pathlib import Path
 
 from .builders import (
-    Coloring,
-    constant_coloring,
-    lower_bound_coloring,
     s_construction,
     s_contains,
     s_graph,
@@ -26,14 +23,12 @@ from .builders import (
     triangle_system,
 )
 from .config import DEFAULT_MAX_NODES, SearchBudget
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, digit_limit_as_input_error
 from .embed import (
-    RainbowCertificate,
     _pattern_from_pairs,
     expansion_through,
     find_blowup,
     find_expansion,
-    find_rainbow_expansion,
 )
 from .structures import (
     Graph,
@@ -66,7 +61,6 @@ from .trees import (
 WITNESS_CAP = 16
 CONSTRUCTION_CHECK_LIMIT = 16  # largest n whose triangle-side construction is searched
 EXHAUSTIVE_LIMIT = 7  # largest n of an exhaustive Turán search
-RAINBOW_CHECK_LIMIT = 8  # largest n whose certificate coloring is searched for rainbow copies
 EXACT_CUT_LIMIT = 24  # largest support whose bipartization distance is computed exactly
 
 
@@ -381,7 +375,8 @@ def cached_turan(
             cached["pattern"] = [list(e) for e in pattern.edge_list()]
             return cached
     result = compute().to_json()
-    path.write_text(json.dumps(result, sort_keys=True) + "\n")
+    with digit_limit_as_input_error():  # json.dumps raises before the file opens
+        path.write_text(json.dumps(result, sort_keys=True) + "\n")
     return result
 
 
@@ -565,9 +560,7 @@ class AntiRamseyResult:
     base_size: int
     deletion_free: tuple[tuple[tuple[int, int], bool], ...]
     base_free_verified: bool
-    coloring: Coloring | None
-    rainbow_certificate: RainbowCertificate | None
-    rainbow_free: bool | None
+    rainbow_free: bool
 
     def to_json(self) -> dict:
         return {
@@ -607,13 +600,19 @@ def anti_ramsey_bounds(
     augmentation: Graph,
 ) -> AntiRamseyResult:
     """Lower-bound certificate and asserted upper formula for the least
-    color count forcing a rainbow expansion of the augmented tree.
+    color count forcing a rainbow expansion of the augmented tree F.
 
-    lower = |base| + 2 for the apex base S(n, sigma(tree)-1); freeness of
-    every single-edge deletion is decided by s_contains, and for n <=
-    RAINBOW_CHECK_LIMIT the certificate coloring is built and checked for
-    rainbow copies (None above).  The upper value is the asserted formula
-    C(n,3) - C(n-sigma+1,3) + 2, reported, never recomputed.
+    lower = |base| + 2 for the apex base S(n, t), t = sigma(tree) - 1, with
+    apex set L; s_contains decides each single-edge deletion's freeness.
+    In the lower-bound coloring (constant when t = 0) a copy of F's
+    expansion is rainbow exactly when at most one triple, say e's, misses
+    L.  Then the core vertices on L, plus one end of each edge whose added
+    vertex is on L, cover F - e with at most t vertices.  Conversely, a
+    minimum cover of F - e on L, the copy's other vertices anywhere else,
+    leaves only e's triple off L.  So a rainbow copy exists exactly when
+    n >= |V(F)| + |E(F)| (isolated vertices counted) and tau(F - e) <= t
+    for some e: rainbow_free = base_free_verified or n < |V(F)| + |E(F)|.
+    upper_formula C(n,3) - C(n-sigma+1,3) + 2 is asserted, never recomputed.
     """
     if not tree.is_tree():
         raise InputError("first pattern must be a tree")
@@ -623,16 +622,11 @@ def anti_ramsey_bounds(
     t = sigma - 1
     _check_n(n)
     base_size = s_size(n, t)
-    deletion_free = []
-    for e in augmentation.edge_list():
-        reduced = augmentation.delete_edge(*e)
-        free = not s_contains(n, t, reduced) if reduced.edges else base_size == 0
-        deletion_free.append((e, free))
-    coloring = cert = rainbow_free = None
-    if n <= RAINBOW_CHECK_LIMIT:
-        coloring = lower_bound_coloring(s_construction(n, t)) if base_size else constant_coloring(n)
-        cert = find_rainbow_expansion(coloring, augmentation)
-        rainbow_free = cert is None
+    deletion_free = tuple(
+        (e, not s_contains(n, t, augmentation.delete_edge(*e)))
+        for e in augmentation.edge_list()
+    )
+    base_free_verified = all(ok for _, ok in deletion_free)
     return AntiRamseyResult(
         n=n,
         tree=tree,
@@ -640,11 +634,9 @@ def anti_ramsey_bounds(
         lower=base_size + 2,
         upper_formula=math.comb(n, 3) - math.comb(n - sigma + 1, 3) + 2,
         base_size=base_size,
-        deletion_free=tuple(deletion_free),
-        base_free_verified=all(ok for _, ok in deletion_free),
-        coloring=coloring,
-        rainbow_certificate=cert,
-        rainbow_free=rainbow_free,
+        deletion_free=deletion_free,
+        base_free_verified=base_free_verified,
+        rainbow_free=base_free_verified or n < augmentation.n + len(augmentation.edges),
     )
 
 
@@ -701,9 +693,9 @@ def _facts_suite(max_n: int) -> list[dict]:
     checks = []
     bad = 0
     total = 0
-    for system in enumerate_two_intersecting_systems(min(max_n, 6)):
+    for system in enumerate_two_intersecting_systems(max_n):
         total += 1
-        result = two_intersecting_structure(TripleSystem(min(max_n, 6), system))
+        result = two_intersecting_structure(TripleSystem(max_n, system))
         if isinstance(result, NotTwoIntersecting):
             bad += 1
         elif isinstance(result, CommonPair):
@@ -716,12 +708,12 @@ def _facts_suite(max_n: int) -> list[dict]:
         _check(
             "two-intersecting classification",
             bad == 0,
-            f"{total} systems on <= {min(max_n, 6)} vertices",
+            f"{total} systems on <= {max_n} vertices",
         )
     )
     gbad = 0
     gtotal = 0
-    gn = min(max_n + 1, 7)
+    gn = max_n + 1
     for family in enumerate_intersecting_edge_families(gn):
         gtotal += 1
         graph = Graph(gn, family)
@@ -821,7 +813,7 @@ def _trees_suite(max_n: int) -> list[dict]:
     free_ok = True
     free_details = []
     count = 0
-    for n in range(2, min(max_n, 9) + 1):
+    for n in range(2, max_n + 1):
         for tree in enumerate_trees(n):
             count += 1
             profile = analyze_tree(tree)

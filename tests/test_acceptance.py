@@ -9,6 +9,7 @@ import math
 import random
 
 from crosscut.builders import (
+    lower_bound_coloring,
     s_construction,
     s_graph,
     s_size,
@@ -18,7 +19,7 @@ from crosscut.builders import (
     triangle_system,
 )
 from crosscut.cleaning import cleaning_algorithm, extract_d_full, extract_linear_subgraph, max_i_degree
-from crosscut.embed import find_blowup, find_expansion
+from crosscut.embed import find_blowup, find_expansion, find_rainbow_expansion
 from crosscut.lab import (
     anti_ramsey_bounds,
     enumerate_intersecting_edge_families,
@@ -122,16 +123,17 @@ def test_criterion_02_counterexamples_are_pinned():
 def test_criterion_13_chord_triangle_witness_is_pinned():
     # the rainbow copy criterion 13 reports for the chord-triangle shape
     chord = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-    result = anti_ramsey_bounds(8, path_graph(3), chord)
-    cert = result.rainbow_certificate
-    assert cert is not None and result.rainbow_free is False
+    assert anti_ramsey_bounds(8, path_graph(3), chord).rainbow_free is False
+    coloring = lower_bound_coloring(s_construction(8, 1))
+    cert = find_rainbow_expansion(coloring, chord)
+    assert cert is not None
     assert cert.embedding.core_map == (1, 2, 0, 3)
     assert cert.embedding.expansion_map == (((0, 1), 4), ((0, 2), 5), ((1, 2), 6), ((2, 3), 7))
     assert cert.colors == (21, 3, 9, 14)
     assert cert.embedding.validate(TripleSystem(8, itertools.combinations(range(8), 3)))
     images = cert.embedding.core_map
     assert cert.colors == tuple(
-        result.coloring.color(images[u], images[v], w)
+        coloring.color(images[u], images[v], w)
         for (u, v), w in cert.embedding.expansion_map
     )
 

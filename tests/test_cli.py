@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -447,6 +448,25 @@ def test_turan_lower_only_takes_any_vertex_count(files, capsys, mode, value):
     assert (result["n"], result["value"], result["exhaustive"]) == (2**70, value, False)
 
 
+@pytest.mark.parametrize("mode", ["hypergraph", "triangles"])
+@pytest.mark.parametrize("output", ["json", "csv", "cache"])
+def test_turan_value_too_long_to_print_is_an_input_error(files, capsys, tmp_path, mode, output):
+    # the value grows like n^2: with 2,100 digits in n it prints, with
+    # 2,200 it passes Python's 4,300-digit limit for turning an int into text
+    cache = tmp_path / "cache"
+    options = {"json": [], "csv": ["--output-format", "csv"], "cache": ["--cache-dir", str(cache)]}
+    argv = options[output] + ["turan", "--mode", mode, "--pattern", str(files / "p3.edges"), "--lower-only"]
+    assert main(argv + ["--n", "9" * 2100]) == 0
+    written = sorted(cache.iterdir()) if cache.exists() else []
+    capsys.readouterr()
+    assert main(argv + ["--n", "9" * 2200]) == 5
+    assert capsys.readouterr().err == (
+        f"input error: a value has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit for printing an integer\n"
+    )
+    assert (sorted(cache.iterdir()) if cache.exists() else []) == written
+
+
 def test_verify_cli(files, capsys):
     assert main(["verify", "--suite", "facts", "--max-n", "6"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -494,9 +514,9 @@ def test_anti_ramsey_cli(files, capsys):
     argv = ["anti-ramsey", "--tree", str(files / "p3.edges"), "--aug", str(c4), "--n"]
     start = time.perf_counter()
     assert main(argv + ["200"]) == 0
-    assert time.perf_counter() - start < 1  # no coloring is built above n = 8
+    assert time.perf_counter() - start < 1  # no coloring is built
     data = json.loads(capsys.readouterr().out)
-    assert (data["colors"], data["rainbow_free"]) == (19702, None)
+    assert (data["colors"], data["rainbow_free"]) == (19702, True)
     assert main(argv + ["1000001"]) == 5
     assert capsys.readouterr().err == "input error: vertex count 1000001 exceeds the limit 1000000\n"
 
@@ -678,3 +698,17 @@ def test_readme_global_options_match_the_parser_and_run_config():
     # the other lowercase names are config keys, apart from values and commands
     keys = {n for n in names if re.fullmatch(r"[a-z_]+", n)} - {"json", "csv", "verify", "turan"}
     assert keys == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # each print's "# value: remark" comment gives the line it prints
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [block] = re.findall(r"^## Library example\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    expected = [
+        line.split("#", 1)[1].split(":")[0].strip()
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected == ["None", "0 True"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

@@ -901,8 +901,12 @@ class TestApexContainment:
         assert all(shapes.values()), shapes
 
     def test_anti_ramsey_fields_match_the_search(self):
-        """deletion_free is the search's answer on the base, and colors is
-        the color count of the lower-bound coloring, built or not."""
+        """deletion_free is the search's answer on the base, colors is the
+        color count of the lower-bound coloring, and rainbow_free is the
+        rainbow search's answer on that coloring: at every n <= 8, and at
+        n = 9, 10 where a rainbow copy exists (a rainbow-free search there
+        takes up to seconds)."""
+        rainbow_above_8 = 0
         for k in range(2, 6):
             for tree in enumerate_trees(k):
                 t = crosscut_value(tree) - 1
@@ -919,16 +923,27 @@ class TestApexContainment:
                         assert list(result.deletion_free) == want, (aug.edge_list(), n)
                         coloring = lower_bound_coloring(base) if base.edges else constant_coloring(n)
                         assert result.to_json()["colors"] == coloring.color_count
-                        assert (result.coloring is None) == (n > lab.RAINBOW_CHECK_LIMIT)
+                        if n <= 8 or not result.rainbow_free:
+                            rainbow_above_8 += n > 8
+                            found = embed.find_rainbow_expansion(coloring, aug)
+                            assert result.rainbow_free == (found is None), (aug.edge_list(), n)
+        assert rainbow_above_8 == 9
+        p3, c4 = path_graph(3), cycle_graph(4)
+        assert anti_ramsey_bounds(9, p3, c4).rainbow_free
+        assert embed.find_rainbow_expansion(lower_bound_coloring(s_construction(9, 1)), c4) is None
 
     def test_apex_containment_runs_no_search(self, monkeypatch):
         def searched(*args):
-            raise AssertionError("apex system searched")
+            raise AssertionError("apex system or its coloring built or searched")
 
         monkeypatch.setattr(lab, "find_expansion", searched)
+        monkeypatch.setattr(lab, "s_construction", searched)
+        monkeypatch.setattr(embed, "find_rainbow_expansion", searched)
         result = exact_turan_hypergraph(16, path_graph(6), exhaustive=False)
         assert (result.value, result.construction_free) == (s_size(16, 2), True)
-        assert anti_ramsey_bounds(10, path_graph(3), cycle_graph(4)).base_free_verified
+        for n in (8, 10):
+            result = anti_ramsey_bounds(n, path_graph(3), cycle_graph(4))
+            assert (result.base_free_verified, result.rainbow_free) == (True, True)
 
 
 class TestConstructionFreenessInvariant:
