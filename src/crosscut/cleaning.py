@@ -28,8 +28,10 @@ from .structures import (
     Triple,
     TripleSystem,
     _is_int,
+    _mask_vertices,
     is_superfull,
     sorted_pair,
+    sorted_triple,
 )
 from .trees import enumerate_trees, cycle_graph
 from .embed import find_expansion
@@ -93,51 +95,51 @@ class CleaningTrace:
         }
 
 
-def _classify_pair(
-    pair: Pair,
-    nbrs: dict[Pair, set[int]],
-    t: int,
-    k: int,
-) -> int | None:
-    d = len(nbrs[pair])
+def _classify_pair(pair: Pair, rows: list, t: int, k: int) -> int | None:
+    """The type of a shadow pair in the codegree rows, None for no type."""
+    u, v = pair
+    mask = rows[u][v]
+    d = mask.bit_count()
     if d <= t - 1:
         return TYPE_DEFICIENT
     if d == t:
-        u, v = pair
-        for w in nbrs[pair]:
-            for other in (sorted_pair(u, w), sorted_pair(v, w)):
-                if other != pair and len(nbrs.get(other, ())) == t:
-                    return TYPE_COUPLED
+        for w in _mask_vertices(mask):
+            if rows[u][w].bit_count() == t or rows[v][w].bit_count() == t:
+                return TYPE_COUPLED
         return None
     if t + 1 <= d <= 3 * k - 1:
         return TYPE_INTERMEDIATE
     return None
 
 
-def _pair_buckets(edges) -> dict[Pair, set[int]]:
-    """Each shadow pair of `edges` mapped to the set of its third vertices."""
-    nbrs: dict[Pair, set[int]] = {}
-    for a, b, c in edges:
-        nbrs.setdefault((a, b), set()).add(c)
-        nbrs.setdefault((a, c), set()).add(b)
-        nbrs.setdefault((b, c), set()).add(a)
-    return nbrs
+def _drop_edge(rows: list, a: int, b: int, c: int) -> None:
+    """Take the edge {a, b, c} out of a `_copy_rows` copy: each of its pairs
+    loses the third vertex in both its rows, and an emptied entry goes."""
+    for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+        rx, ry = rows[x], rows[y]
+        mask = rx[y] ^ 1 << z
+        if mask:
+            rx[y] = ry[x] = mask
+        else:
+            del rx[y], ry[x]
 
 
-def _remove_pair(pair: Pair, nbrs: dict[Pair, set[int]], edges: set[Triple]) -> set[Pair]:
-    """Delete every edge through `pair` from `edges` and from the buckets,
-    dropping buckets that empty; returns the pairs whose buckets changed."""
+def _remove_pair(pair: Pair, rows: list, edges: set[Triple]) -> set[Pair]:
+    """Delete every edge through `pair` from `edges` and from the rows;
+    returns the pairs whose masks changed."""
+    u, v = pair
     touched: set[Pair] = set()
-    for w in list(nbrs[pair]):
-        a, b, c = sorted((pair[0], pair[1], w))
-        edges.discard((a, b, c))
-        for p, x in (((a, b), c), ((a, c), b), ((b, c), a)):
-            bucket = nbrs[p]
-            bucket.discard(x)
-            if not bucket:
-                del nbrs[p]
-            touched.add(p)
+    for w in _mask_vertices(rows[u][v]):
+        a, b, c = e = sorted_triple(u, v, w)
+        edges.discard(e)
+        _drop_edge(rows, a, b, c)
+        touched.update(((a, b), (a, c), (b, c)))
     return touched
+
+
+def _copy_rows(system: TripleSystem) -> list:
+    """An editable copy of the codegree rows (no removal reaches an empty row)."""
+    return [dict(row) if row else row for row in system.rows]
 
 
 def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
@@ -160,27 +162,22 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
     """
     if not (_is_int(k) and _is_int(t) and k >= t >= 0):
         raise InputError(f"need integers k >= t >= 0, got k={k}, t={t}")
-    pair_nbr = system.pair_nbr
-    sparse = set()
-    for e in system.edges:
-        a, b, c = e
-        dmax = max(
-            pair_nbr[(a, b)].bit_count(),
-            pair_nbr[(a, c)].bit_count(),
-            pair_nbr[(b, c)].bit_count(),
-        )
-        if dmax <= 3 * k:
-            sparse.add(e)
+    rows = _copy_rows(system)
+    sparse = {
+        (a, b, c) for a, b, c in system.edges
+        if max(rows[a][b].bit_count(), rows[a][c].bit_count(), rows[b][c].bit_count()) <= 3 * k
+    }
+    for e in sparse:
+        _drop_edge(rows, *e)
     edges = set(system.edges) - sparse
-    nbrs = _pair_buckets(edges)
 
     tag: dict[Pair, int] = {}
     heap: list[tuple[int, Pair]] = []
     removed: list[tuple[Pair, int]] = []
-    dirty = set(nbrs)
+    dirty = {(u, v) for u, row in enumerate(rows) for v in row if u < v}
     while True:
         for p in dirty:
-            kind = _classify_pair(p, nbrs, t, k) if p in nbrs else None
+            kind = _classify_pair(p, rows, t, k) if p[1] in rows[p[0]] else None
             if kind is None:
                 tag.pop(p, None)
             elif tag.get(p) != kind:
@@ -192,12 +189,12 @@ def cleaning_algorithm(system: TripleSystem, k: int, t: int) -> CleaningTrace:
             break
         kind, pair = heapq.heappop(heap)
         removed.append((pair, kind))
-        touched = _remove_pair(pair, nbrs, edges)
+        touched = _remove_pair(pair, rows, edges)
         dirty = set(touched)
         for u, v in touched:
-            ws = nbrs.get((u, v), ())
-            if t - 1 <= len(ws) <= t:
-                for w in ws:
+            mask = rows[u].get(v, 0)
+            if t - 1 <= mask.bit_count() <= t:
+                for w in _mask_vertices(mask):
                     dirty.add(sorted_pair(u, w))
                     dirty.add(sorted_pair(v, w))
 
@@ -249,15 +246,15 @@ def extract_d_full(system: TripleSystem, d: int) -> TripleSystem:
     if not (_is_int(d) and d >= 0):
         raise InputError(f"d must be a nonnegative integer, got {d!r}")
     edges = set(system.edges)
-    nbrs = _pair_buckets(edges)
-    queue = [p for p, ws in nbrs.items() if len(ws) <= d]
+    rows = _copy_rows(system)
+    queue = [(u, v) for u, v in system.shadow_pairs() if rows[u][v].bit_count() <= d]
     while queue:
-        pair = queue.pop()
-        if pair not in nbrs:  # queued twice, or emptied since
+        u, v = pair = queue.pop()
+        if v not in rows[u]:  # queued twice, or emptied since
             continue
-        for p in _remove_pair(pair, nbrs, edges):
-            if p in nbrs and len(nbrs[p]) <= d:
-                queue.append(p)
+        for x, y in _remove_pair(pair, rows, edges):
+            if 0 < rows[x].get(y, 0).bit_count() <= d:
+                queue.append((x, y))
     return TripleSystem(system.n, edges)
 
 
@@ -266,7 +263,7 @@ def max_i_degree(system: TripleSystem, i: int) -> int:
     _check_i(i)
     if i == 1:
         return max((system.degree(v) for v in range(system.n)), default=0)
-    return max((m.bit_count() for m in system.pair_nbr.values()), default=0)
+    return max((m.bit_count() for row in system.rows for m in row.values()), default=0)
 
 
 def _check_i(i: object) -> None:
@@ -340,7 +337,7 @@ def fullness_embedding_check(system: TripleSystem, k: int) -> dict:
         raise InputError(f"k must be an integer >= 3, got {k!r}")
     if not system.edges:
         raise InputError("fullness check needs a nonempty system")
-    low = min(m.bit_count() for m in system.pair_nbr.values())
+    low = min(m.bit_count() for row in system.rows for m in row.values())
     if low < 3 * k:
         raise InputError(
             f"system is not {3 * k}-full (minimum shadow codegree {low})"

@@ -317,16 +317,7 @@ def find_expansion(
         raise InputError("pattern needs at least one edge")
     if pattern.n + len(pattern.edges) > host.n:
         return None
-    rows = _codegree_rows(host)
-    return _search(host, pattern, _plan(pattern), rows, None, deterministic, budget)
-
-
-def _codegree_rows(host: TripleSystem) -> list[dict[int, int]]:
-    """rows[a][b]: the codegree mask of the shadow pair (a, b); sparse."""
-    rows: list[dict[int, int]] = [{} for _ in range(host.n)]
-    for (a, b), mask in host.pair_nbr.items():
-        rows[a][b] = rows[b][a] = mask
-    return rows
+    return _search(host, pattern, _plan(pattern), None, deterministic, budget)
 
 
 def _absorbable(masks: list[int], match: list[int], k: int, free: int) -> int:
@@ -346,14 +337,15 @@ def _absorbable(masks: list[int], match: list[int], k: int, free: int) -> int:
 
 
 def _search(
-    host: TripleSystem, pattern: Graph, plan: tuple, rows: list[dict[int, int]],
+    host: TripleSystem, pattern: Graph, plan: tuple,
     root: tuple[int, int, int] | None, deterministic: bool = False,
     budget: SearchBudget | None = None,
 ) -> Embedding | None:
-    """find_expansion's DFS along a `_plan` with the host's `rows`.  A root
-    (x, y, z) puts the plan's root edge (a, b) on x and y with completion
-    z: the DFS starts at depth 1 with the one candidate y and stops there,
-    and finds exactly the copies that complete (a, b) by {x, y, z}.
+    """find_expansion's DFS along a `_plan` with the host's codegree rows.
+    A root (x, y, z) puts the plan's root edge (a, b) on x and y with
+    completion z: the DFS starts at depth 1 with the one candidate y and
+    stops there, and finds exactly the copies that complete (a, b) by
+    {x, y, z}, reading row x from a copy of the row list.
 
     Look-ahead: entering a depth with matching M, a candidate h must be in
     `avail` (`_absorbable`), and each new pair (a, h) needs a codegree
@@ -364,6 +356,7 @@ def _search(
     certificates are those of the unfiltered DFS; a holder always moves,
     and a new slot always has a vertex outside the core and h."""
     pos, back, first_slot, pat_edges, edge_slot = plan
+    rows = host.rows
     last = pattern.n - 1
     full = (1 << host.n) - 1
     hs = [0] * pattern.n  # host image of order[i]
@@ -380,7 +373,7 @@ def _search(
     cands[0] = full
     if root is not None:
         x, y, z = root
-        if not rows[x].get(y, 0) >> z & 1:
+        if not host.codegree_mask(x, y) >> z & 1:
             return None  # not a host triple
         rows = rows[:]  # the root slot reads row x, at depth 1 only
         rows[x] = {**rows[x], y: 1 << z}
@@ -496,12 +489,11 @@ def expansion_through(host: TripleSystem, pattern: Graph, triples) -> bool:
     and when a and b are twins, (a b) is one, so x < y suffices."""
     if pattern.n + len(pattern.edges) > host.n:
         return False
-    rows = _codegree_rows(host)  # shared by every rooted search
     for a, b, twins in _edge_orbits(pattern):
         plan = _plan(pattern, (a, b))
         for triple in triples:
             for x, y, z in itertools.permutations(triple):
-                if (x < y or not twins) and _search(host, pattern, plan, rows, (x, y, z)):
+                if (x < y or not twins) and _search(host, pattern, plan, (x, y, z)):
                     return True
     return False
 
@@ -527,14 +519,28 @@ def complete_partial_expansion(
     The remaining edges get distinct fresh vertices via bipartite matching,
     so success is guaranteed whenever every unassigned pair has enough
     codegree (3m suffices, as does |F| + |V(F)|); None means no system of
-    distinct representatives exists for this shadow copy.
+    distinct representatives exists for this shadow copy.  Every pair and
+    pre-assigned key must be two integer vertex ids (bools excluded), or it
+    is an InputError.
     """
-    pairs = [sorted_pair(*p) for p in shadow_copy]
-    completion = _completion(host, pairs, pre_assigned)
+    pairs = [_vertex_pair(p) for p in shadow_copy]
+    pre = {_vertex_pair(k): w for k, w in (pre_assigned or {}).items()}
+    completion = _completion(host, pairs, pre)
     if completion is None:
         return None
     pattern, verts = _pattern_from_pairs(pairs)
     return _certificate(pattern, tuple(verts), completion)
+
+
+def _vertex_pair(p) -> Pair:
+    """p as a sorted pair, when it is two int vertex ids (not bools)."""
+    try:
+        u, v = p
+    except (TypeError, ValueError):
+        u = v = None
+    if not (_is_int(u) and _is_int(v)):
+        raise InputError(f"pair {p!r} is not two integer vertex ids")
+    return sorted_pair(u, v)
 
 
 def _certificate(
@@ -555,12 +561,13 @@ def _certificate(
 
 
 def _completion(
-    host: TripleSystem, pairs: list[Pair], pre_assigned: Mapping[Pair, int] | None
+    host: TripleSystem, pairs: list[Pair], pre: Mapping[Pair, int]
 ) -> dict[Pair, int] | None:
-    """Completion vertex of each pair of a shadow copy given as sorted host
-    pairs: the pre-assigned vertices, and the lexicographically least
-    distinct fresh vertices for the other pairs (None when there are none).
-    A malformed copy or pre-assignment is an InputError."""
+    """Completion vertex of each pair of a shadow copy given as sorted pairs
+    of int ids, some pre-assigned by `pre` (keyed by sorted pairs): the
+    pre-assigned vertices, and the lexicographically least distinct fresh
+    vertices for the other pairs (None when there are none).  A copy or
+    pre-assignment that does not fit the host is an InputError."""
     if len(set(pairs)) != len(pairs) or not pairs:
         raise InputError("shadow copy must be a nonempty list of distinct pairs")
     for p in pairs:
@@ -568,7 +575,6 @@ def _completion(
             raise InputError(f"pair {p} is not in the host shadow")
     core = {x for p in pairs for x in p}
     core_mask = sum(1 << x for x in core)
-    pre = {sorted_pair(*k): w for k, w in (pre_assigned or {}).items()}
     for p, w in pre.items():
         if p not in set(pairs):
             raise InputError(f"pre-assigned pair {p} is not in the shadow copy")

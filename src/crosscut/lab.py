@@ -149,8 +149,10 @@ def _levelwise_max(
     keep the dict smaller than frozensets would.  The empty family, whose
     vertices are all twins, is keyed once.
 
-    Returns (best objective, canonical witness keys, node count).
+    Returns (best objective, canonical witness keys, node count), the
+    count being the nodes this search ticked on the budget.
     """
+    start = budget.nodes
     bits = {it: 1 << i for i, it in enumerate(all_items)}
     empty: frozenset = frozenset()
     empty_key = canonical_edge_key(n, empty)
@@ -200,7 +202,7 @@ def _levelwise_max(
                 elif val == best and len(witnesses) < WITNESS_CAP:
                     witnesses.add(key)
         level = nxt
-    return best, sorted(witnesses), budget.nodes
+    return best, sorted(witnesses), budget.nodes - start
 
 
 def _exact_turan(
@@ -216,12 +218,14 @@ def _exact_turan(
     """Driver shared by the exact Turán entry points.
 
     construction is None or (t, size, free): for 0 <= t <= n its value is
-    size(n, t), and free(n, t) is True, False or None (undecided) for its
-    freeness from the pattern.  Lower-bound mode reports the construction
-    value alone.  Exhaustive mode (n <= EXHAUSTIVE_LIMIT, checked before
-    free is called; budget-checked, 50M nodes when no budget is given) runs
-    orderly generation over the arity-subsets of [n], seeded with the
-    construction value when the construction was verified free.
+    size(n, t), and free(n, t, budget) is True, False or None (undecided)
+    for its freeness from the pattern, any search it runs ticking the
+    budget (50M nodes when none is given).  Lower-bound mode reports the
+    construction value alone.  Exhaustive mode (n <= EXHAUSTIVE_LIMIT,
+    checked before free is called) runs orderly generation over the
+    arity-subsets of [n] on the same budget, seeded with the construction
+    value when the construction was verified free; `nodes` counts the
+    orderly search's nodes only.
     A pattern whose copies have more than n vertices is in no family: from
     n = 3 on, the complete family (its own key) alone has the top value,
     and no search runs.  An edgeless pattern and a negative n are
@@ -233,12 +237,14 @@ def _exact_turan(
         raise InputError("n must be nonnegative")
     if exhaustive and n > EXHAUSTIVE_LIMIT:
         raise BudgetExceededError(f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}")
+    if budget is None:
+        budget = SearchBudget(DEFAULT_MAX_NODES)
     construction_value = construction_free = None
     if construction is not None:
         t, size, free = construction
         if 0 <= t <= n:
             construction_value = size(n, t)
-            construction_free = free(n, t)
+            construction_free = free(n, t, budget)
     value = construction_value if construction_value is not None else 0
     witness_keys: list[tuple] = []
     nodes = 0
@@ -248,8 +254,6 @@ def _exact_turan(
             value, witness_keys = objective(frozenset(items)), [tuple(items)]
         else:
             seed = value if construction_free else 0
-            if budget is None:
-                budget = SearchBudget(DEFAULT_MAX_NODES)
             value, witness_keys, nodes = _levelwise_max(
                 n, items, is_free, objective, seed, budget
             )
@@ -284,7 +288,7 @@ def exact_turan_hypergraph(
     construction = None
     if pattern.is_tree():
         t = crosscut_value(pattern) - 1
-        construction = (t, s_size, lambda n, t: not s_contains(n, t, pattern))
+        construction = (t, s_size, lambda n, t, budget: not s_contains(n, t, pattern))
 
     def is_free(triples: frozenset, it) -> bool:
         return not expansion_through(TripleSystem(n, triples), pattern, [it])
@@ -302,7 +306,7 @@ def exact_generalized_turan(
     triangle blowup.  The lower bound is the joined construction, for trees
     and cycles, with the extra edge for even paths and even cycles (the
     trees and cycles of maximum degree 2) when it fits; its freeness is
-    searched for n <= CONSTRUCTION_CHECK_LIMIT."""
+    searched for n <= CONSTRUCTION_CHECK_LIMIT, within the budget."""
     edge_count = len(pattern.edges)
     degrees = pattern.degrees()
     is_cycle = (
@@ -315,9 +319,9 @@ def exact_generalized_turan(
         t = crosscut_value(pattern) - 1
         plus = edge_count % 2 == 0 and all(d <= 2 for d in degrees)
         if not (plus and (n - t) // 2 < 2):
-            def free(n: int, t: int) -> bool | None:
+            def free(n: int, t: int, budget: SearchBudget) -> bool | None:
                 if n <= CONSTRUCTION_CHECK_LIMIT:
-                    return find_blowup(s_graph(n, t, plus=plus), pattern) is None
+                    return find_blowup(s_graph(n, t, plus=plus), pattern, budget) is None
                 return None
 
             construction = (t, partial(sbi_size, plus=plus), free)
@@ -428,15 +432,16 @@ def hypergraph_closeness(
     most delta*n^2 edges while every vertex of L has degree at least
     (1/2 - delta)*n^2."""
     n = system.n
-    for L in _candidate_sets(n, t, delta, system.degree):
+    degree = [system.degree(v) for v in range(n)]
+    for L in _candidate_sets(n, t, delta, degree.__getitem__):
         Lset = set(L)
         outside = sum(1 for e in system.edges if not (set(e) & Lset))
-        mindeg = min((system.degree(v) for v in L), default=0)
+        mindeg = min((degree[v] for v in L), default=0)
         low = (0.5 - delta) * n * n
         cond = {
             "edges_outside": _condition(outside, delta * n * n, outside <= delta * n * n),
             "member_degree": _condition(
-                mindeg if L else None, low, all(system.degree(v) >= low for v in L)
+                mindeg if L else None, low, all(degree[v] >= low for v in L)
             ),
         }
         if all(c["holds"] for c in cond.values()):

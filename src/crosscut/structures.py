@@ -10,6 +10,7 @@ modules dominate runtime.
 from __future__ import annotations
 
 import itertools
+import types
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,6 +21,9 @@ Triple = tuple[int, int, int]
 
 # structures keep per-vertex tables and colorings take combinations of range(n)
 _MAX_VERTICES = 10**6
+
+# the codegree row of every vertex in no triple: one shared, read-only mapping
+_NO_PAIRS = types.MappingProxyType({})
 
 
 def sorted_pair(u: int, v: int) -> Pair:
@@ -223,11 +227,14 @@ class TripleSystem:
     """3-uniform set system on vertices 0..n-1.
 
     `edges` is a frozenset of sorted triples, and n is at most 10^6 as for
-    `Graph`.  The pair-codegree index (pair -> bitmask of third vertices) is
-    built eagerly at construction and never mutated.
+    `Graph`.  `rows`, the one codegree index, is built here: rows[u][v] is
+    the bitmask of the third vertices of the triples through u and v, in
+    both rows of each shadow pair.  Vertices in no triple share one
+    read-only empty row, so it takes O(n + shadow pairs); callers copy it
+    before they edit.
     """
 
-    __slots__ = ("n", "edges", "pair_nbr", "_deg")
+    __slots__ = ("n", "edges", "rows")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
         _check_n(n)
@@ -242,17 +249,16 @@ class TripleSystem:
             clean.add((a, b, c))
         self.n = n
         self.edges = frozenset(clean)
-        pair_nbr: dict[Pair, int] = {}
-        deg = [0] * n
+        rows: list = [_NO_PAIRS] * n
         for a, b, c in clean:
-            pair_nbr[(a, b)] = pair_nbr.get((a, b), 0) | (1 << c)
-            pair_nbr[(a, c)] = pair_nbr.get((a, c), 0) | (1 << b)
-            pair_nbr[(b, c)] = pair_nbr.get((b, c), 0) | (1 << a)
-            deg[a] += 1
-            deg[b] += 1
-            deg[c] += 1
-        self.pair_nbr = pair_nbr
-        self._deg = tuple(deg)
+            for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+                ru, rv = rows[u], rows[v]
+                if ru is _NO_PAIRS:
+                    ru = rows[u] = {}
+                if rv is _NO_PAIRS:
+                    rv = rows[v] = {}
+                ru[v] = rv[u] = ru.get(v, 0) | 1 << w
+        self.rows = rows
 
     def edge_list(self) -> list[Triple]:
         return sorted(self.edges)
@@ -280,7 +286,7 @@ class TripleSystem:
 
     def shadow(self) -> Graph:
         """All pairs covered by some triple, as a graph on the same vertex set."""
-        return Graph(self.n, self.pair_nbr.keys())
+        return Graph(self.n, self.shadow_pairs())
 
     def link(self, v: int) -> Graph:
         """Pairs completing v to a triple; the link's size equals degree(v)."""
@@ -298,10 +304,13 @@ class TripleSystem:
     def degree(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
-        return self._deg[v]
+        # each triple through v is one bit in two entries of v's row
+        return sum(m.bit_count() for m in self.rows[v].values()) >> 1
 
     def codegree_mask(self, u: int, v: int) -> int:
-        return self.pair_nbr.get(sorted_pair(u, v), 0)
+        """The third vertices of the triples through u and v, as a bitmask;
+        0 for any pair outside the shadow, out-of-range ids included."""
+        return self.rows[u].get(v, 0) if 0 <= u < self.n else 0
 
     def codegree(self, u: int, v: int) -> int:
         """Number of triples through the pair uv."""
@@ -320,7 +329,7 @@ class TripleSystem:
         return _mask_vertices(self.codegree_mask(u, v))
 
     def shadow_pairs(self) -> list[Pair]:
-        return sorted(self.pair_nbr.keys())
+        return sorted([(u, v) for u, row in enumerate(self.rows) for v in row if u < v])
 
 
 @dataclass(frozen=True)
@@ -343,7 +352,7 @@ def edge_codegree_profile(system: TripleSystem, edge: Iterable[int]) -> EdgeCode
 
 def is_d_full(system: TripleSystem, d: int) -> bool:
     """Every shadow pair has codegree >= d (vacuously true when empty)."""
-    return all(m.bit_count() >= d for m in system.pair_nbr.values())
+    return all(m.bit_count() >= d for row in system.rows for m in row.values())
 
 
 def is_superfull(system: TripleSystem, d: int, k: int) -> bool:
@@ -352,12 +361,9 @@ def is_superfull(system: TripleSystem, d: int, k: int) -> bool:
         raise InputError(f"superfullness requires k > d, got d={d}, k={k}")
     if not is_d_full(system, d):
         return False
+    rows = system.rows
     for a, b, c in system.edges:
-        low = sum(
-            1
-            for p in ((a, b), (a, c), (b, c))
-            if system.pair_nbr[p].bit_count() < k
-        )
+        low = sum(rows[u][v].bit_count() < k for u, v in ((a, b), (a, c), (b, c)))
         if low > 1:
             return False
     return True

@@ -783,9 +783,8 @@ def find_expansion_reference(host: TripleSystem, pattern: Graph, deterministic=T
     m = len(pattern.edges)
     if pattern.n + m > host.n:
         return None
-    pair_nbr = host.pair_nbr
     adj = [0] * host.n
-    for a, b in pair_nbr:
+    for a, b in host.shadow_pairs():
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     order = _embedding_order_reference(pattern)
@@ -839,7 +838,7 @@ def find_expansion_reference(host: TripleSystem, pattern: Graph, deterministic=T
             s = first_slot[i]
             for d in back[i]:
                 a = hs[d]
-                masks[s] = pair_nbr[(a, h) if a < h else (h, a)]
+                masks[s] = host.codegree_mask(a, h)
                 if not _augment_reference(s, masks, inner, match, owner):
                     ok = False
                     break

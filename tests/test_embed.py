@@ -277,7 +277,7 @@ class TestFindExpansion:
                 answers.append(want)
         assert 10 <= sum(answers) <= len(answers) - 10
 
-    def test_tables_stay_sparse_and_trivial_instances_build_none(self, monkeypatch):
+    def test_tables_stay_sparse_and_trivial_instances_build_none(self):
         # the codegree rows take O(n + shadow pairs): a 3,000-vertex host
         # with 4 triples needs far less than one n x n table
         host = TripleSystem(3000, [(0, 1, 2), (0, 1, 3), (1, 2, 4), (2990, 2995, 2999)])
@@ -290,12 +290,27 @@ class TestFindExpansion:
             tracemalloc.stop()
         assert emb is not None and emb.validate(host) and through
         assert peak < 2 << 20
-        # an instance too large for the host is answered before any table
-        monkeypatch.setattr(embed, "_codegree_rows", None)
+        # an instance too large for the host is answered before any search
         assert find_expansion(host, path_graph(3000)) is None
         assert expansion_through(host, path_graph(3000), [(0, 1, 2)]) is False
         with pytest.raises(InputError):  # the edgeless check still comes first
             find_expansion(host, Graph(3001, []))
+
+    def test_a_search_on_a_million_vertices_builds_no_table(self):
+        # the host's codegree rows are built once, O(n) pointers plus the
+        # shadow pairs, and a search reads them without a per-vertex table
+        tracemalloc.start()
+        try:
+            host = TripleSystem(10**6, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            emb = find_expansion(host, path_graph(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb is not None and emb.validate(host)
+        assert built < 20 << 20
+        assert peak - built < 8 << 20
 
     def test_cached_plans_give_the_certificates_of_fresh_ones(self):
         # plans are cached by pattern value: an equal pattern built apart
@@ -631,12 +646,35 @@ class TestCompletePartial:
         with pytest.raises(InputError, match="not a host vertex"):
             complete_partial_expansion(complete_3graph(8), [(0, 1)], {(0, 1): vertex})
 
+    @pytest.mark.parametrize(
+        "copy, pre",
+        [
+            ([(0,)], None),
+            ([(0, 1, 2)], None),
+            ([(1, 2.0)], None),
+            ([(0, "1")], None),
+            ([(True, 2)], None),
+            ([5], None),
+            ([(0, 1)], {(0,): 5}),
+            ([(0, 1)], {(0, 1.0): 5}),
+            ([(0, 1)], {(False, 1): 5}),
+        ],
+    )
+    def test_malformed_pairs_are_input_errors(self, copy, pre):
+        with pytest.raises(InputError, match="vertex ids"):
+            complete_partial_expansion(complete_3graph(8), copy, pre)
+
+    @pytest.mark.parametrize("pair", [(-1, 2), (2, -1), (0, 8), (0, 10**9)])
+    def test_pairs_outside_the_host_are_outside_its_shadow(self, pair):
+        with pytest.raises(InputError, match="not in the host shadow"):
+            complete_partial_expansion(complete_3graph(8), [pair])
+
     def test_completion_is_the_least_one(self):
         rng = random.Random(67)
         seen = {"none": 0, "plain": 0, "pre": 0}
         for _ in range(300):
             host = random_triple_system(rng, rng.randint(6, 10), rng.uniform(0.1, 0.6))
-            pairs = sorted(host.pair_nbr)
+            pairs = host.shadow_pairs()
             if not pairs:
                 continue
             copy = rng.sample(pairs, rng.randint(1, min(5, len(pairs))))

@@ -629,8 +629,15 @@ class TestExactTuranHypergraph:
 def test_turan_honours_the_caller_budget(solve):
     with pytest.raises(BudgetExceededError):
         solve(5, path_graph(2), budget=SearchBudget(max_nodes=1))
+    # `nodes` counts the orderly search; the budget also counts the
+    # construction search, which only the triangle side runs
     budget = SearchBudget()
-    assert solve(5, path_graph(2), budget=budget).nodes == budget.nodes > 0
+    nodes = solve(5, path_graph(2), budget=budget).nodes
+    assert nodes == solve(5, path_graph(2)).nodes > 0
+    if solve is exact_turan_hypergraph:
+        assert budget.nodes == nodes
+    else:
+        assert budget.nodes > nodes
 
 
 @pytest.mark.parametrize(
@@ -984,6 +991,24 @@ class TestVerifySuites:
     def test_cycles_suite(self):
         report = verify_theorem_suite("cycles", 12)
         assert report["all_pass"]
+
+    @pytest.mark.parametrize(
+        "suite, cap, digest",
+        [
+            ("cycles", 12, "0b53da69d7fc4882"),
+            ("even-paths", 10, "aedf3aa5ac3f1eeb"),
+            ("facts", 6, "3a189b927dd846f5"),
+            ("odd-paths", 9, "71fc1734999137b5"),
+            ("trees", 9, "520c8716721726d6"),
+        ],
+    )
+    def test_reports_at_the_cap_are_pinned(self, suite, cap, digest):
+        # the first 16 hex digits of the sha256 of the sorted-key JSON report
+        assert lab._SUITES[suite][1] == cap
+        report = verify_theorem_suite(suite, cap)
+        assert report["all_pass"]
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_budget_and_name_validation(self):
         with pytest.raises(BudgetExceededError):

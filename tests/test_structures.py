@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscut.builders import Coloring, s_construction
+from crosscut.cleaning import cleaning_algorithm, extract_d_full
+from crosscut.embed import expansion_through, find_expansion
 from crosscut.errors import InputError
 from crosscut.structures import (
     CommonPair,
@@ -25,6 +27,7 @@ from crosscut.structures import (
 )
 from crosscut.trees import complete_graph, cycle_graph, path_graph, star_graph
 
+from conftest import planted_host, random_triple_system
 from oracles import count_triangles_naive
 
 
@@ -229,6 +232,75 @@ class TestTripleSystem:
     def test_superfull_implies_full(self, h, d):
         if is_superfull(h, d, d + 2):
             assert is_d_full(h, d)
+
+
+class TestCodegreeIndex:
+    """`rows` is the one codegree index: it agrees with the triples, every
+    reader answers from it, and no search or cleaning step edits it."""
+
+    def test_rows_and_readers_agree_with_a_brute_force(self):
+        rng = random.Random(29)
+        empty_rows = set()
+        for _ in range(80):
+            n = rng.randint(0, 11)
+            h = random_triple_system(rng, n, rng.uniform(0.0, 0.6))
+            third = {
+                (u, v): sum(
+                    1 << w for w in range(n) if tuple(sorted((u, v, w))) in h.edges
+                )
+                for u in range(n) for v in range(n) if u != v
+            }
+            for (u, v), mask in third.items():
+                assert h.rows[u].get(v, 0) == h.codegree_mask(u, v) == mask
+                assert (v in h.rows[u]) == (mask != 0)
+            for u in range(n):
+                assert u not in h.rows[u] and h.codegree_mask(u, u) == 0
+            assert h.shadow_pairs() == sorted(p for p, m in third.items() if m and p[0] < p[1])
+            codegrees = [m.bit_count() for p, m in third.items() if m]
+            for d in range(5):
+                assert is_d_full(h, d) == all(c >= d for c in codegrees)
+                k = d + 2
+                low = [
+                    sum(third[p].bit_count() < k for p in itertools.combinations(e, 2))
+                    for e in h.edges
+                ]
+                assert is_superfull(h, d, k) == (is_d_full(h, d) and all(x <= 1 for x in low))
+            for v in range(n):
+                assert h.degree(v) == sum(v in e for e in h.edges)
+                if not h.degree(v):
+                    empty_rows.add(id(h.rows[v]))
+        # every vertex in no triple, in every system, has the same row
+        assert len(empty_rows) == 1
+
+    def test_the_empty_row_is_read_only(self):
+        row = TripleSystem(3).rows[0]
+        assert row is TripleSystem(5, [(0, 1, 2)]).rows[4] and not row
+        with pytest.raises(TypeError):
+            row[0] = 1
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (-1, -2), (5, 0), (0, 5), (10**9, 1), (2, 10**9)])
+    def test_codegree_mask_is_total(self, u, v):
+        # rows[-1] would read vertex 4's row, which is not empty here
+        h = TripleSystem(5, [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
+        assert h.codegree_mask(u, v) == 0
+
+    def test_no_search_or_cleaning_edits_the_rows(self):
+        rng = random.Random(3)
+        hosts = [s_construction(9, 1), planted_host(rng, 20, 2)]
+        hosts += [random_triple_system(rng, 10, 0.3) for _ in range(4)]
+        for host in hosts:
+            before = [dict(row) for row in host.rows]
+            ids = [id(row) for row in host.rows]
+            for pattern in (path_graph(3), star_graph(3), cycle_graph(4)):
+                find_expansion(host, pattern)
+                for triple in host.edge_list()[:5]:
+                    expansion_through(host, pattern, [triple])
+            for k, t in ((3, 2), (1, 1)):
+                cleaning_algorithm(host, k, t)
+            for d in range(3):
+                extract_d_full(host, d)
+            assert [dict(row) for row in host.rows] == before
+            assert [id(row) for row in host.rows] == ids
 
 
 class TestTwoIntersecting:
