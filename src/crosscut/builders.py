@@ -13,7 +13,15 @@ import itertools
 import math
 
 from .errors import InputError
-from .structures import Graph, Triple, TripleSystem, _check_n, _is_int, sorted_triple
+from .structures import (
+    Graph,
+    Triple,
+    TripleSystem,
+    _check_n,
+    _is_int,
+    _mask_vertices,
+    sorted_triple,
+)
 from .trees import covering_number
 
 
@@ -111,6 +119,118 @@ def s_graph(n: int, t: int, plus: bool = False) -> Graph:
     _check_apexes(n, t)
     clique = Graph(t, itertools.combinations(range(t), 2))
     return join(clique, balanced_bipartite(n - t, plus=plus))
+
+
+def sbi_contains(n: int, t: int, pattern: Graph, plus: bool = False) -> bool:
+    """Whether s_graph(n, t, plus) contains the pattern's triangle blowup
+    F^△ (core vertices first, then one added vertex w_e per edge e).
+
+    The host is the blowup of a template: L, the t apexes, a clique joined
+    to every vertex; A and B, independent parts of sizes floor((n-t)/2) and
+    ceil((n-t)/2), joined to each other; with plus, the edge xy inside A.
+    Vertices of one type are interchangeable, x and y among A's, so F^△
+    embeds exactly when its vertices can be placed on L, A and B within the
+    type sizes with no edge inside a side but one on xy.  Take such a
+    placement, and let I be its core vertices on L.  A triangle u v w_e
+    with e missing I has a vertex on L, so w_e, or it is x y b: with plus,
+    one triangle edge may lie on xy, its third vertex on B.  The vertices
+    off L then 2-colour with that edge alone inside a side (A), and an
+    added vertex of an edge meeting I is pendant or isolated there.  Any
+    other vertex on L sits on a spare apex, and so does any vertex taken
+    off a side: placing a vertex on L breaks no edge.  So the placement
+    exists exactly when, for some I and choice of xy edge, the rest
+    2-colours and a subset sum over the orientations of its components
+    finds counts whose overflow beyond A and B is at most the spare
+    apexes.  The forced w_e leave no room once |I| + e(F - I) exceeds t
+    (t + 1 with plus), so no larger I is tried.
+    """
+    _check_apexes(n, t)
+    if plus and (n - t) // 2 < 2:
+        raise InputError("the extra edge needs a part of size >= 2")
+    if pattern.n + len(pattern.edges) > n:
+        return False
+    blowup = triangle_blowup(pattern)
+    k, edges = pattern.n, pattern.edge_list()
+    sides = ((n - t) // 2, (n - t + 1) // 2)
+    for apexed in _light_sets(pattern.adj, t + plus):
+        forced = 0
+        for i, (u, v) in enumerate(edges):
+            if not (apexed >> u | apexed >> v) & 1:
+                forced |= 1 << (k + i)
+        tries = [((), forced)]
+        if plus:
+            for i, (u, v) in enumerate(edges):
+                for p, q in ((u, v), (u, k + i), (v, k + i)):
+                    if not (apexed >> p | apexed >> q) & 1:
+                        tries.append(((p, q), forced & ~(1 << (k + i))))
+        for inner, off in tries:
+            spare = t - apexed.bit_count() - off.bit_count()
+            if spare >= 0 and _sides_fit(blowup, apexed | off, inner, sides, spare):
+                return True
+    return False
+
+
+def _light_sets(adj: tuple[int, ...], cap: int):
+    """Every vertex set I (a mask) with |I| + e(G - I) <= cap.  Each vertex
+    in turn joins I (cost 1) or is left out (cost its edges to the earlier
+    ones left out).  Each edge among the undecided vertices will cost at
+    least 1, so a partial choice is cut once its cost plus a matching of
+    the undecided vertices exceeds cap."""
+    k = len(adj)
+    matched = [0] * (k + 1)  # matched[v]: a greedy matching of G[v..k-1]
+    for v in range(k):
+        free = (1 << k) - (1 << v)
+        for u in range(v, k):
+            mate = adj[u] & free
+            if free >> u & 1 and mate:
+                free ^= 1 << u | mate & -mate
+                matched[v] += 1
+    stack = [(0, 0, 0, 0)]  # (next vertex, I so far, left out so far, cost)
+    while stack:
+        v, chosen, left, cost = stack.pop()
+        if cost + matched[v] > cap:
+            continue
+        if v == k:
+            yield chosen
+            continue
+        stack.append((v + 1, chosen, left | 1 << v, cost + (adj[v] & left).bit_count()))
+        stack.append((v + 1, chosen | 1 << v, left, cost + 1))
+
+
+def _sides_fit(
+    graph: Graph, removed: int, inner: tuple, sides: tuple[int, int], spare: int
+) -> bool:
+    """Whether graph - removed 2-colours with the pair `inner` (if any) an
+    edge inside side A, and some orientation of the components leaves at
+    most `spare` vertices beyond the side sizes."""
+    same = {inner, inner[::-1]}
+    colour: dict[int, int] = {}
+    reach = 1  # bit a: some orientation puts a vertices on A
+    for s in itertools.chain(inner, range(graph.n)):
+        if removed >> s & 1 or s in colour:
+            continue
+        colour[s] = 0
+        count = [0, 0]
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            count[colour[v]] += 1
+            for w in _mask_vertices(graph.adj[v] & ~removed):
+                want = colour[v] ^ ((v, w) not in same)
+                if w not in colour:
+                    colour[w] = want
+                    stack.append(w)
+                elif colour[w] != want:
+                    return False
+        if inner and s == inner[0]:  # A holds inner's side
+            reach <<= count[0]
+        else:
+            reach = reach << count[0] | reach << count[1]
+    total = len(colour)
+    return any(
+        reach >> a & 1 and max(0, a - sides[0]) + max(0, total - a - sides[1]) <= spare
+        for a in range(total + 1)
+    )
 
 
 def sbi_construction(n: int, t: int, plus: bool = False) -> TripleSystem:

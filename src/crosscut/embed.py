@@ -345,7 +345,9 @@ def _search(
     A root (x, y, z) puts the plan's root edge (a, b) on x and y with
     completion z: the DFS starts at depth 1 with the one candidate y and
     stops there, and finds exactly the copies that complete (a, b) by
-    {x, y, z}, reading row x from a copy of the row list.
+    {x, y, z}: depth 1's one slot, slot 0, is then given 1 << z alone.
+    Later depths read the host's rows unchanged, as y stays in the core
+    and no slot or candidate ever takes it.
 
     Look-ahead: entering a depth with matching M, a candidate h must be in
     `avail` (`_absorbable`), and each new pair (a, h) needs a codegree
@@ -371,13 +373,12 @@ def _search(
     core = 0
     held = 0  # vertices some slot holds; never meets the core
     cands[0] = full
+    rooted = -1  # the depth whose one slot holds the root's completion
     if root is not None:
         x, y, z = root
         if not host.codegree_mask(x, y) >> z & 1:
             return None  # not a host triple
-        rows = rows[:]  # the root slot reads row x, at depth 1 only
-        rows[x] = {**rows[x], y: 1 << z}
-        hs[0], core, i = x, 1 << x, 1
+        hs[0], core, i, rooted = x, 1 << x, 1, 1
         cands[1] = 1 << y
     bottom = i
     saved[i] = match[:]
@@ -424,6 +425,8 @@ def _search(
             match[:] = saved[i]
             held = helds[i]
             continue
+        if i == rooted:
+            masks[0], match[0], held = 1 << z, z, 1 << z
         if budget is not None:
             budget.tick()
         hs[i] = h

@@ -17,8 +17,8 @@ from pathlib import Path
 from .builders import (
     s_construction,
     s_contains,
-    s_graph,
     s_size,
+    sbi_contains,
     sbi_size,
     triangle_system,
 )
@@ -27,7 +27,7 @@ from .errors import BudgetExceededError, InputError, digit_limit_as_input_error
 from .embed import (
     _pattern_from_pairs,
     expansion_through,
-    find_blowup,
+    find_blowup,  # unused here, but bench/spans.py patches lab.find_blowup
     find_expansion,
 )
 from .structures import (
@@ -59,7 +59,6 @@ from .trees import (
 )
 
 WITNESS_CAP = 16
-CONSTRUCTION_CHECK_LIMIT = 16  # largest n whose triangle-side construction is searched
 EXHAUSTIVE_LIMIT = 7  # largest n of an exhaustive Turán search
 EXACT_CUT_LIMIT = 24  # largest support whose bipartization distance is computed exactly
 
@@ -218,14 +217,13 @@ def _exact_turan(
     """Driver shared by the exact Turán entry points.
 
     construction is None or (t, size, free): for 0 <= t <= n its value is
-    size(n, t), and free(n, t, budget) is True, False or None (undecided)
-    for its freeness from the pattern, any search it runs ticking the
-    budget (50M nodes when none is given).  Lower-bound mode reports the
-    construction value alone.  Exhaustive mode (n <= EXHAUSTIVE_LIMIT,
-    checked before free is called) runs orderly generation over the
-    arity-subsets of [n] on the same budget, seeded with the construction
-    value when the construction was verified free; `nodes` counts the
-    orderly search's nodes only.
+    size(n, t), and free(n, t) says whether it is free of the pattern.
+    Lower-bound mode reports the construction value alone.  Exhaustive mode
+    (n <= EXHAUSTIVE_LIMIT, checked before free is called) runs orderly
+    generation over the arity-subsets of [n] on the budget (50M nodes when
+    none is given), seeded with the construction value when the
+    construction was verified free; `nodes` counts the orderly search's
+    nodes only.
     A pattern whose copies have more than n vertices is in no family: from
     n = 3 on, the complete family (its own key) alone has the top value,
     and no search runs.  An edgeless pattern and a negative n are
@@ -244,7 +242,7 @@ def _exact_turan(
         t, size, free = construction
         if 0 <= t <= n:
             construction_value = size(n, t)
-            construction_free = free(n, t, budget)
+            construction_free = free(n, t)
     value = construction_value if construction_value is not None else 0
     witness_keys: list[tuple] = []
     nodes = 0
@@ -288,7 +286,7 @@ def exact_turan_hypergraph(
     construction = None
     if pattern.is_tree():
         t = crosscut_value(pattern) - 1
-        construction = (t, s_size, lambda n, t, budget: not s_contains(n, t, pattern))
+        construction = (t, s_size, lambda n, t: not s_contains(n, t, pattern))
 
     def is_free(triples: frozenset, it) -> bool:
         return not expansion_through(TripleSystem(n, triples), pattern, [it])
@@ -305,8 +303,8 @@ def exact_generalized_turan(
     """Maximum triangle count of an n-vertex graph avoiding the pattern's
     triangle blowup.  The lower bound is the joined construction, for trees
     and cycles, with the extra edge for even paths and even cycles (the
-    trees and cycles of maximum degree 2) when it fits; its freeness is
-    searched for n <= CONSTRUCTION_CHECK_LIMIT, within the budget."""
+    trees and cycles of maximum degree 2) when it fits, free by
+    sbi_contains at every n."""
     edge_count = len(pattern.edges)
     degrees = pattern.degrees()
     is_cycle = (
@@ -319,12 +317,11 @@ def exact_generalized_turan(
         t = crosscut_value(pattern) - 1
         plus = edge_count % 2 == 0 and all(d <= 2 for d in degrees)
         if not (plus and (n - t) // 2 < 2):
-            def free(n: int, t: int, budget: SearchBudget) -> bool | None:
-                if n <= CONSTRUCTION_CHECK_LIMIT:
-                    return find_blowup(s_graph(n, t, plus=plus), pattern, budget) is None
-                return None
-
-            construction = (t, partial(sbi_size, plus=plus), free)
+            construction = (
+                t,
+                partial(sbi_size, plus=plus),
+                lambda n, t: not sbi_contains(n, t, pattern, plus),
+            )
 
     def is_free(edges: frozenset, it) -> bool:
         graph = Graph(n, edges)
@@ -354,10 +351,10 @@ def cached_turan(
     exhaustive: bool = True,
 ) -> dict:
     """Content-addressed JSON cache keyed by (mode, n, canonical pattern),
-    plus "lower-only", "covering-number" for lower-bound results: the first
-    tag keeps them from an exhaustive request, the second from files
-    written while hypergraph construction_free was null for n > 16
-    (exhaustive keys are unchanged).  A cache file
+    plus "lower-only", "closed-form" for lower-bound results: the first tag
+    keeps them from an exhaustive request, the second from files written
+    while construction_free was null for n > 16 on either side (exhaustive
+    keys are unchanged).  A cache file
     that is not a JSON object with every TuranResult field is recomputed
     and rewritten.  A hit reports the requested pattern's edges, the one
     field that an isomorphic pattern under the same key can change."""
@@ -367,7 +364,7 @@ def cached_turan(
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = [mode, n, canonical_graph_key(pattern)]
     if not exhaustive:
-        key += ["lower-only", "covering-number"]
+        key += ["lower-only", "closed-form"]
     digest = hashlib.sha256(json.dumps(key).encode()).hexdigest()
     path = cache_dir / f"turan-{digest}.json"
     if path.exists():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -14,13 +15,15 @@ from crosscut.builders import (
     s_graph,
     s_size,
     sbi_construction,
+    sbi_contains,
     sbi_size,
     triangle_blowup,
     triangle_system,
 )
+from crosscut.embed import find_blowup
 from crosscut.errors import InputError
 from crosscut.structures import Graph, TripleSystem
-from crosscut.trees import complete_graph, cycle_graph, path_graph
+from crosscut.trees import complete_graph, covering_number, cycle_graph, enumerate_trees, path_graph
 
 from oracles import contains_subgraph_naive, count_triangles_naive
 
@@ -169,6 +172,84 @@ class TestJoinedTriangleSystem:
         # the joined graph has no blowup of the odd path one step longer
         blow = triangle_blowup(path_graph(3))
         assert not contains_subgraph_naive(s_graph(9, 1), blow)
+
+
+def _fits(n: int, t: int, plus: bool) -> bool:
+    return n >= t and (n - t) // 2 >= (2 if plus else 0)
+
+
+class TestJoinedContainment:
+    """sbi_contains decides the joined graph's blowup containment without
+    a search."""
+
+    PATTERNS = [tree for k in range(2, 7) for tree in enumerate_trees(k)] + [
+        cycle_graph(k) for k in range(3, 7)
+    ]
+
+    def test_matches_the_search(self):
+        # trees and cycles, then random graphs (disconnected, or with
+        # cycles) and two pins, where only the smaller part may hold the
+        # extra edge
+        cases = [
+            (pattern, n, t, plus)
+            for pattern in self.PATTERNS
+            for t in range(4)
+            for plus in (False, True)
+            for n in range(max(t, pattern.n + len(pattern.edges) - 2), 16)
+        ]
+        rng = random.Random(26)
+        for _ in range(60):
+            k = rng.randint(2, 5)
+            edges = [e for e in itertools.combinations(range(k), 2) if rng.random() < 0.4]
+            if edges:
+                t = rng.randint(0, 2)
+                cases += [(Graph(k, edges), n, t, plus) for n in range(t, 12) for plus in (False, True)]
+        cases.append((Graph(4, [(0, 3), (1, 2)]), 6, 1, True))  # 2K2: absent
+        cases.append((Graph(8, [(0, 1), (0, 4), (0, 7), (1, 2), (1, 3), (4, 5), (4, 6)]), 15, 2, True))
+        cases = [case for case in cases if _fits(*case[1:])]
+        assert len(cases) == 1942
+        for pattern, n, t, plus in cases:
+            searched = find_blowup(s_graph(n, t, plus=plus), pattern) is not None
+            assert sbi_contains(n, t, pattern, plus) == searched, (pattern.edge_list(), n, t, plus)
+
+    def test_roomy_hosts_follow_the_covering_number(self):
+        # with both parts as large as the blowup, only the apexes can run
+        # short: a tree's blowup embeds exactly when tau <= t
+        for k in range(2, 9):
+            for tree in enumerate_trees(k):
+                tau = covering_number(tree)
+                for t in range(tau + 2):
+                    n = t + 2 * (tree.n + len(tree.edges))
+                    assert sbi_contains(n, t, tree) == (tau <= t), (tree.edge_list(), t)
+
+    def test_monotone_in_n(self):
+        for pattern in self.PATTERNS:
+            for t in range(4):
+                for plus in (False, True):
+                    answers = [
+                        sbi_contains(n, t, pattern, plus) for n in range(t, 41) if _fits(n, t, plus)
+                    ]
+                    assert answers == sorted(answers), (pattern.edge_list(), t, plus)
+
+    def test_part_sizes_decide_a_hand_counted_tree(self):
+        # u joined to x1..x5, each xi with two leaves, and y joined to x1
+        # with two leaves: 19 vertices, tau = 6; the apexes hold a cover,
+        # and the parts first hold the rest at n = 39
+        edges = [(0, i) for i in range(1, 6)]
+        edges += [(i, 4 + 2 * i + j) for i in range(1, 6) for j in (0, 1)]
+        edges += [(1, 16), (16, 17), (16, 18)]
+        tree = Graph(19, edges)
+        assert tree.is_tree() and covering_number(tree) == 6
+        for n, present in [(37, False), (38, False), (39, True)]:
+            start = time.perf_counter()
+            assert sbi_contains(n, 6, tree) is present, n
+            assert time.perf_counter() - start < 0.5
+
+    def test_rejects_a_host_without_the_extra_edge(self):
+        with pytest.raises(InputError):
+            sbi_contains(7, 4, path_graph(2), plus=True)
+        with pytest.raises(InputError):
+            sbi_contains(3, 4, path_graph(2))
 
 
 class TestColoring:

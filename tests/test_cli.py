@@ -448,14 +448,14 @@ def test_turan_lower_only_takes_any_vertex_count(files, capsys, mode, value):
     assert (result["n"], result["value"], result["exhaustive"]) == (2**70, value, False)
 
 
-def test_turan_construction_search_honours_max_nodes(files, capsys):
-    # the triangle side searches its construction for n <= 16, also in
-    # lower-only mode, and that search runs on the node budget
+def test_turan_construction_check_runs_no_search(files, capsys):
+    # the triangle side decides its construction by a rule, so a small node
+    # budget does not stop a lower-only run
     (files / "t.edges").write_text("kind=graph n=8\n0 1\n0 5\n0 7\n1 2\n1 4\n2 3\n5 6\n")
     argv = ["--max-nodes", "1000", "turan", "--mode", "triangles", "--lower-only",
             "--n", "16", "--pattern", str(files / "t.edges")]
-    assert main(argv) == 4
-    assert capsys.readouterr().err.startswith("budget exceeded:")
+    assert main(argv) == 0
+    assert isinstance(json.loads(capsys.readouterr().out)["construction_free"], bool)
 
 
 @pytest.mark.parametrize("mode", ["hypergraph", "triangles"])

@@ -312,6 +312,19 @@ class TestFindExpansion:
         assert built < 20 << 20
         assert peak - built < 8 << 20
 
+    def test_a_rooted_search_copies_no_row_list(self):
+        # the root's completion is given to its slot, so a search through a
+        # triple allocates a few n-bit masks, not a copy of the n rows
+        host = TripleSystem(10**6, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        tracemalloc.start()
+        try:
+            through = expansion_through(host, path_graph(2), [(2, 3, 4)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert through
+        assert peak < 1 << 20
+
     def test_cached_plans_give_the_certificates_of_fresh_ones(self):
         # plans are cached by pattern value: an equal pattern built apart
         # reuses one, a relabelled pattern gets its own

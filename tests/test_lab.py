@@ -199,10 +199,9 @@ def test_turan_work_counts_are_pinned(monkeypatch):
     """Freeness searches and canonical keys per problem: each family keys
     the first child of every twin orbit, pruned families too, a labelled
     child reached from several parents is keyed once, and one search per
-    isomorphism class per level answers all children with that key; the
-    searches include the triangle side's construction search, while the
-    apex construction is decided without one.  A graph child whose new edge closes no triangle
-    needs no search."""
+    isomorphism class per level answers all children with that key; both
+    constructions are decided without a search.  A graph child whose new
+    edge closes no triangle needs no search."""
     counts = {"searches": 0, "keys": 0}
 
     def counted(name, fn):
@@ -212,17 +211,16 @@ def test_turan_work_counts_are_pinned(monkeypatch):
 
         return wrapper
 
-    for name, fn in [("searches", "find_expansion"), ("searches", "find_blowup"),
-                     ("searches", "expansion_through"), ("keys", "canonical_edge_key"),
-                     ("keys", "key_and_twins")]:
+    for name, fn in [("searches", "find_expansion"), ("searches", "expansion_through"),
+                     ("keys", "canonical_edge_key"), ("keys", "key_and_twins")]:
         monkeypatch.setattr(lab, fn, counted(name, getattr(lab, fn)))
     per_problem = []
     for solve, n, pattern in TURAN_WORKLOAD:
         before = dict(counts)
         solve(n, pattern)
         per_problem.append((counts["searches"] - before["searches"], counts["keys"] - before["keys"]))
-    assert per_problem == [(11, 12), (16, 19), (189, 381), (43, 368), (59, 521)]
-    assert (counts["searches"], counts["keys"]) == (318, 1301)
+    assert per_problem == [(11, 12), (16, 19), (189, 381), (42, 368), (58, 521)]
+    assert (counts["searches"], counts["keys"]) == (316, 1301)
 
 
 def test_arrangement_search_work_is_pinned(monkeypatch):
@@ -433,15 +431,14 @@ def test_levelwise_max_matches_reference(monkeypatch, solve, pattern, top):
         (exact_turan_hypergraph, path_graph(3), 17, 120, True),
         (exact_turan_hypergraph, path_graph(3), 2**70, s_size(2**70, 1), True),
         (exact_generalized_turan, path_graph(3), 16, 56, True),
-        (exact_generalized_turan, path_graph(3), 17, 64, None),
+        (exact_generalized_turan, path_graph(3), 17, 64, True),
         (exact_turan_hypergraph, cycle_graph(4), 16, None, None),
         (exact_generalized_turan, cycle_graph(4), 16, 65, True),
     ],
 )
 def test_construction_is_checked_up_to_its_limit(solve, pattern, n, value, free):
-    """The apex system is decided at every n, the joined construction is
-    searched for n <= 16 and reported null above; C4 has the joined
-    construction but no apex system."""
+    """Both constructions are decided at every n, also above 16; C4 has
+    the joined construction but no apex system."""
     result = solve(n, pattern, exhaustive=False)
     assert (result.lower_bound_construction_value, result.construction_free) == (value, free)
     assert result.value == (value or 0) and result.matches_construction is None
@@ -451,7 +448,6 @@ def test_turan_caps_in_the_docs_match_the_code():
     formats = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
     [section] = re.findall(r"^### turan results\n(.*?)(?=^### )", formats, re.S | re.M)
     assert re.findall(r"capped at (\d+)", section) == [str(lab.WITNESS_CAP)]
-    assert re.findall(r"n > (\d+)", section) == [str(lab.CONSTRUCTION_CHECK_LIMIT)]
     assert set(re.findall(r"n (?:=|<=) (\d+)", section)) == {str(lab.EXHAUSTIVE_LIMIT)}
 
 
@@ -575,10 +571,13 @@ def test_benchmark_tracer_patch_points_stay():
     try:
         tracer.install(cc)  # every attribute it replaces must exist
         result = exact_generalized_turan(6, path_graph(2))
+        turan_calls = tracer.counts["embed.calls"]  # no construction search
+        found = lab.find_expansion(s_construction(5, 1), path_graph(2))
     finally:
         tracer.uninstall()
     assert lab.find_expansion is embed.find_expansion
-    assert (result.value, tracer.counts["embed.calls"], tracer.counts["lab.canon_calls"]) == (4, 1, 1)
+    assert (result.value, turan_calls, tracer.counts["lab.canon_calls"]) == (4, 0, 1)
+    assert found is not None and tracer.counts["embed.calls"] == 1
 
 
 class TestExactTuranHypergraph:
@@ -612,14 +611,13 @@ class TestExactTuranHypergraph:
         assert big.construction_free is True  # decided by the covering number
 
     def test_budget_gate(self, monkeypatch):
-        """Above the cap both entry points stop before searching their
-        construction."""
+        """Above the cap both entry points stop before any search."""
 
         def searched(*args):
-            raise AssertionError("construction searched")
+            raise AssertionError("searched")
 
         monkeypatch.setattr(lab, "find_expansion", searched)
-        monkeypatch.setattr(lab, "find_blowup", searched)
+        monkeypatch.setattr(lab, "expansion_through", searched)
         for solve in (exact_turan_hypergraph, exact_generalized_turan):
             with pytest.raises(BudgetExceededError, match=r"^exhaustive search supports n <= 7$"):
                 solve(8, path_graph(2))
@@ -629,15 +627,12 @@ class TestExactTuranHypergraph:
 def test_turan_honours_the_caller_budget(solve):
     with pytest.raises(BudgetExceededError):
         solve(5, path_graph(2), budget=SearchBudget(max_nodes=1))
-    # `nodes` counts the orderly search; the budget also counts the
-    # construction search, which only the triangle side runs
+    # `nodes` counts the orderly search, the one search on the budget:
+    # neither side searches its construction
     budget = SearchBudget()
     nodes = solve(5, path_graph(2), budget=budget).nodes
     assert nodes == solve(5, path_graph(2)).nodes > 0
-    if solve is exact_turan_hypergraph:
-        assert budget.nodes == nodes
-    else:
-        assert budget.nodes > nodes
+    assert budget.nodes == nodes
 
 
 @pytest.mark.parametrize(
@@ -714,20 +709,26 @@ class TestCache:
         assert len(list(tmp_path.glob("turan-*.json"))) == 2
 
     def test_stale_lower_only_files_are_not_served(self, tmp_path):
-        """A lower-only file under the key used while hypergraph
-        construction_free was null for n > 16 is never read."""
+        """A lower-only file under a key used while construction_free was
+        null for n > 16, on the hypergraph side up to one tag and on the
+        triangle side up to the next, is never read."""
         pattern = path_graph(3)
-        stale = exact_turan_hypergraph(17, pattern, exhaustive=False).to_json()
-        stale["construction_free"] = None
-        old_key = ["hypergraph", 17, lab.canonical_graph_key(pattern), "lower-only"]
-        digest = hashlib.sha256(json.dumps(old_key).encode()).hexdigest()
-        (tmp_path / f"turan-{digest}.json").write_text(json.dumps(stale))
-        report = cached_turan(
-            "hypergraph", 17, pattern, tmp_path,
-            lambda: exact_turan_hypergraph(17, pattern, exhaustive=False), exhaustive=False,
-        )
-        assert report["construction_free"] is True
-        assert len(list(tmp_path.glob("turan-*.json"))) == 2
+        stale_keys = [
+            ("hypergraph", exact_turan_hypergraph, ["lower-only"]),
+            ("triangles", exact_generalized_turan, ["lower-only", "covering-number"]),
+        ]
+        for mode, solve, tags in stale_keys:
+            stale = solve(17, pattern, exhaustive=False).to_json()
+            stale["construction_free"] = None
+            old_key = [mode, 17, lab.canonical_graph_key(pattern)] + tags
+            digest = hashlib.sha256(json.dumps(old_key).encode()).hexdigest()
+            (tmp_path / f"turan-{digest}.json").write_text(json.dumps(stale))
+            report = cached_turan(
+                mode, 17, pattern, tmp_path,
+                lambda: solve(17, pattern, exhaustive=False), exhaustive=False,
+            )
+            assert report["construction_free"] is True, mode
+        assert len(list(tmp_path.glob("turan-*.json"))) == 4
 
 
 class TestCloseness:
