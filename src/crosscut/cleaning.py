@@ -20,6 +20,7 @@ that graph.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -214,24 +215,34 @@ def quantitative_report(trace: CleaningTrace, epsilon: float) -> dict:
     When the input satisfies |H| >= t|∂H| - eps*n^2, the removal count and
     final sizes are expected to obey q <= 12k*eps*n^2,
     |H_q| >= |H| - 48k^2*eps*n^2, and |∂H_q| >= |∂H| - 50k^2*eps*n^2;
-    both sides are reported either way.
+    both sides are reported either way.  epsilon must be finite and >= 0,
+    and each eps*n^2 term finite, else InputError: JSON has no NaN or
+    infinity, so the report could not be written as JSON.
     """
+    if not (epsilon >= 0 and math.isfinite(epsilon)):  # NaN fails the first test
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     h = trace.original
     n, k, t = h.n, trace.k, trace.t
+    try:
+        terms = [c * epsilon * n * n for c in (1, 12 * k, 48 * k * k, 50 * k * k)]
+    except OverflowError:  # a factor too large for a float
+        terms = [math.inf]
+    if not all(map(math.isfinite, terms)):
+        raise InputError(f"epsilon {epsilon!r} makes the bounds overflow at n={n}, k={k}")
+    slack, steps, size_loss, shadow_loss = terms
     shadow_before = len(h.shadow_pairs())
     shadow_after = len(trace.final_system.shadow_pairs())
-    hypothesis = len(h.edges) >= t * shadow_before - epsilon * n * n
     return {
         "epsilon": epsilon,
-        "hypothesis_holds": hypothesis,
-        "steps": {"value": trace.q, "bound": 12 * k * epsilon * n * n},
+        "hypothesis_holds": len(h.edges) >= t * shadow_before - slack,
+        "steps": {"value": trace.q, "bound": steps},
         "final_size": {
             "value": len(trace.final_system.edges),
-            "bound": len(h.edges) - 48 * k * k * epsilon * n * n,
+            "bound": len(h.edges) - size_loss,
         },
         "final_shadow": {
             "value": shadow_after,
-            "bound": shadow_before - 50 * k * k * epsilon * n * n,
+            "bound": shadow_before - shadow_loss,
         },
     }
 

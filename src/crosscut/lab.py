@@ -20,7 +20,6 @@ from .builders import (
     s_size,
     sbi_contains,
     sbi_size,
-    triangle_system,
 )
 from .config import DEFAULT_MAX_NODES, SearchBudget
 from .errors import BudgetExceededError, InputError, digit_limit_as_input_error
@@ -45,7 +44,7 @@ from .structures import (
     TriangleClass,
     EmptyClass,
 )
-from .symmetry import canonical_edge_key, key_and_twins
+from .symmetry import canonical_edge_key, decode_key, key_and_twins
 from .trees import (
     analyze_tree,
     crosscut_value,
@@ -126,11 +125,12 @@ def _levelwise_max(
     Items are tested once per orbit of current's twin symmetry.  Twinship
     is an equivalence, so the twin transpositions generate the symmetric
     group on each twin class; two items with the same signature, the
-    sorted twin ids of their vertices, are therefore mapped onto each other
-    by an automorphism s of current.  So current | {it} and
-    current | {s(it)} are isomorphic: the same freeness verdict and the
-    same key.  Only the first item of a signature is keyed, as a later one
-    would have met its key in nxt and been skipped.
+    multiset of their vertices' twin ids coded as the sum of 4**id (exact:
+    at most 3 vertices leave each base-4 digit below 4), are therefore
+    mapped onto each other by an automorphism s of current.  So
+    current | {it} and current | {s(it)} are isomorphic: the same freeness
+    verdict and the same key.  Only the first item of a signature is
+    keyed, as a later one would have met its key in nxt and been skipped.
 
     is_free(current | {it}, it), which may assume current free, runs once
     per isomorphism class per level.  The first child of each signature is
@@ -146,7 +146,8 @@ def _levelwise_max(
     child's item bitmask (bit i for all_items[i]) to its key and twin ids,
     so a family reached from several parents is not keyed again.  Int masks
     keep the dict smaller than frozensets would.  The empty family, whose
-    vertices are all twins, is keyed once.
+    vertices are all twins, is keyed once.  Keys stay integer edge codes,
+    ordered as the decoded keys; only the sorted witnesses are decoded.
 
     Returns (best objective, canonical witness keys, node count), the
     count being the nodes this search ticked on the budget.
@@ -167,12 +168,15 @@ def _levelwise_max(
         verdict: dict[tuple, bool] = {}  # canonical key -> freeness, this level
         for current, mask, candidates, twin in level.values():
             budget.tick()
-            by_sig: dict[tuple, bool] = {}
+            weight = [4**i for i in twin]
+            by_sig: dict[int, bool] = {}
             addable = []
             firsts = []  # (child, bitmask, (key, twins)) of each signature's first addable item
             for it in candidates:
                 if it not in current:
-                    sig = tuple(sorted([twin[v] for v in it]))
+                    sig = 0
+                    for v in it:
+                        sig += weight[v]
                     free = by_sig.get(sig)
                     if free is None:
                         grown = current | {it}
@@ -201,7 +205,8 @@ def _levelwise_max(
                 elif val == best and len(witnesses) < WITNESS_CAP:
                     witnesses.add(key)
         level = nxt
-    return best, sorted(witnesses), budget.nodes - start
+    arity = len(all_items[0]) if all_items else 2
+    return best, [decode_key(n, w, arity) for w in sorted(witnesses)], budget.nodes - start
 
 
 def _exact_turan(
@@ -323,14 +328,25 @@ def exact_generalized_turan(
                 lambda n, t: not sbi_contains(n, t, pattern, plus),
             )
 
+    def adjacency(edges: frozenset) -> list[int]:
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj
+
     def is_free(edges: frozenset, it) -> bool:
-        graph = Graph(n, edges)
+        adj = adjacency(edges)
         u, v = it
-        new = [(u, v, w) for w in _mask_vertices(graph.adj[u] & graph.adj[v])]
-        return not new or not expansion_through(triangle_system(graph), pattern, new)
+        new = [(u, v, w) for w in _mask_vertices(adj[u] & adj[v])]
+        # each triangle once, from its two least vertices a < b
+        return not new or not expansion_through(TripleSystem(n, [
+            (a, b, c) for a, b in edges for c in _mask_vertices(adj[a] & adj[b] & -(1 << b))
+        ]), pattern, new)
 
     def objective(edges: frozenset) -> int:
-        return Graph(n, edges).count_triangles()
+        adj = adjacency(edges)
+        return sum([((adj[u] & adj[v]) >> v).bit_count() for u, v in edges])
 
     return _exact_turan(n, pattern, exhaustive, budget, construction, 2, is_free, objective)
 

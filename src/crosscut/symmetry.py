@@ -187,12 +187,23 @@ def _least_codes(
 
 
 def canonical_edge_key(n: int, edges: frozenset[tuple[int, ...]]) -> tuple:
-    """The canonical edge key of `key_and_twins`."""
-    return key_and_twins(n, edges)[0]
+    """The canonical edge key of `key_and_twins` as sorted edge tuples."""
+    for e in edges:
+        return decode_key(n, key_and_twins(n, edges)[0], len(e))
+    return ()
+
+
+def decode_key(n: int, codes: tuple, arity: int) -> tuple:
+    """The sorted edge tuples of the edge codes of a key."""
+    if arity == 3:
+        square = n * n
+        return tuple([(c // square, c // n % n, c % n) for c in codes])
+    return tuple([divmod(c, n) for c in codes])
 
 
 def key_and_twins(n: int, edges) -> tuple[tuple, list[int]]:
-    """The canonical edge key and each vertex's twin id, from one
+    """The canonical edge key, as its edge codes (below; they compare as
+    the `decode_key` tuples do), and each vertex's twin id, from one
     refinement of the edges, which must be sorted tuples (as `Graph.edges`,
     `TripleSystem.edges` and `itertools.combinations` give them).  u and w
     share a twin id iff the transposition (u w) maps the edge set onto
@@ -254,7 +265,4 @@ def key_and_twins(n: int, edges) -> tuple[tuple, list[int]]:
         best = _least_codes(items, label, n, triples, blocks, 0, 0, None)
     else:
         best = _edge_codes(items, label, n, triples)
-    if triples:
-        square = n * n
-        return tuple([(c // square, c // n % n, c % n) for c in best]), ids
-    return tuple([divmod(c, n) for c in best]), ids
+    return tuple(best), ids

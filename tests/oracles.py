@@ -250,6 +250,62 @@ def generalized_turan_naive(n: int, pattern: Graph) -> int:
     return best
 
 
+def _typed_placement(total: int, edges: list[tuple[int, ...]], sizes: list[int], allowed) -> bool:
+    """Whether vertices 0..total-1 can be given types, type s to at most
+    sizes[s] of them, so that allowed(the types of e) holds for every edge
+    e: a backtracking search in vertex order, each edge tested once its
+    last vertex is typed."""
+    closing: list[list[tuple[int, ...]]] = [[] for _ in range(total)]
+    for e in edges:
+        closing[max(e)].append(e)
+    types = [0] * total
+    left = list(sizes)
+
+    def place(v: int) -> bool:
+        if v == total:
+            return True
+        for s in range(len(left)):
+            if left[s] > 0:
+                types[v] = s
+                if all(allowed(tuple(types[x] for x in e)) for e in closing[v]):
+                    left[s] -= 1
+                    if place(v + 1):
+                        return True
+                    left[s] += 1
+        return False
+
+    return place(0)
+
+
+def s_contains_typed(n: int, t: int, pattern: Graph) -> bool:
+    """Whether S(n, t) contains the pattern's expansion, by a typed search:
+    S(n, t) is the blowup of the template with types L (the t apexes) and
+    R (the other n - t vertices) whose triples are those meeting L, and
+    vertices of one type are interchangeable.  Expansion vertex k + i is
+    the added vertex of the i-th sorted pattern edge."""
+    k, edges = pattern.n, pattern.edge_list()
+    triples = [(u, v, k + i) for i, (u, v) in enumerate(edges)]
+    return _typed_placement(k + len(edges), triples, [t, n - t], lambda types: 0 in types)
+
+
+def sbi_contains_typed(n: int, t: int, pattern: Graph, plus: bool = False) -> bool:
+    """Whether s_graph(n, t, plus) contains the pattern's triangle blowup,
+    by a typed search over its template: L (the t apexes, joined to every
+    vertex, each other included), A and B (the smaller and the larger part,
+    joined to each other), and with plus x and y, the two vertices of A
+    joined by the extra edge, each of size 1 and taken out of A."""
+    k, edges = pattern.n, pattern.edge_list()
+    pairs = list(edges)
+    for i, (u, v) in enumerate(edges):
+        pairs += [(u, k + i), (v, k + i)]
+    small, large = (n - t) // 2, (n - t + 1) // 2
+    sizes = [t, small - 2, large, 1, 1] if plus else [t, small, large]
+    # types 0 = L, 1 = A, 2 = B, 3 = x, 4 = y
+    joined = {(0, s) for s in range(5)} | {(1, 2), (2, 3), (2, 4), (3, 4)}
+    joined |= {(b, a) for a, b in joined}
+    return _typed_placement(k + len(edges), pairs, sizes, lambda types: types in joined)
+
+
 def maxcut_naive(graph: Graph) -> int:
     best = 0
     for bits in range(1 << max(graph.n - 1, 0)):

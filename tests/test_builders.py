@@ -12,6 +12,7 @@ from crosscut.builders import (
     join,
     lower_bound_coloring,
     s_construction,
+    s_contains,
     s_graph,
     s_size,
     sbi_construction,
@@ -25,7 +26,7 @@ from crosscut.errors import InputError
 from crosscut.structures import Graph, TripleSystem
 from crosscut.trees import complete_graph, covering_number, cycle_graph, enumerate_trees, path_graph
 
-from oracles import contains_subgraph_naive, count_triangles_naive
+from oracles import contains_subgraph_naive, count_triangles_naive, s_contains_typed, sbi_contains_typed
 
 
 class TestExpansion:
@@ -125,6 +126,25 @@ class TestApexSystem:
                 triples = [e for e in itertools.combinations(range(n), 3) if e[0] < t]
                 assert s_construction(n, t).edges == frozenset(triples)
 
+    def test_s_contains_matches_the_typed_search_up_to_40(self):
+        # the L/R template typing of the oracles shares no code with the
+        # covering-number rule
+        for pattern in _typed_patterns(random.Random(21)):
+            for t in range(6):
+                for n in range(t, 41):
+                    assert s_contains(n, t, pattern) == s_contains_typed(n, t, pattern), (
+                        pattern.edge_list(), n, t)
+
+
+def _typed_patterns(rng: random.Random) -> list[Graph]:
+    """C3-C6 and 20 random trees on 2-6 vertices, each vertex after the
+    first joined to a random earlier one."""
+    trees = []
+    for _ in range(20):
+        k = rng.randint(2, 6)
+        trees.append(Graph(k, [(rng.randrange(v), v) for v in range(1, k)]))
+    return [cycle_graph(k) for k in range(3, 7)] + trees
+
 
 class TestJoinAndBipartite:
     def test_examples(self):
@@ -211,6 +231,24 @@ class TestJoinedContainment:
         for pattern, n, t, plus in cases:
             searched = find_blowup(s_graph(n, t, plus=plus), pattern) is not None
             assert sbi_contains(n, t, pattern, plus) == searched, (pattern.edge_list(), n, t, plus)
+
+    def test_matches_the_typed_search_up_to_40(self):
+        # the L/A/B/x/y template typing of the oracles shares no code with
+        # the rule; it is itself checked against the search up to n = 9
+        cases = [
+            (pattern, n, t, plus)
+            for pattern in _typed_patterns(random.Random(13))
+            for t in range(4)
+            for plus in (False, True)
+            for n in range(t, 41)
+            if _fits(n, t, plus)
+        ]
+        for pattern, n, t, plus in cases:
+            typed = sbi_contains_typed(n, t, pattern, plus)
+            assert sbi_contains(n, t, pattern, plus) == typed, (pattern.edge_list(), n, t, plus)
+            if n <= 9 and t <= 2:
+                searched = find_blowup(s_graph(n, t, plus=plus), pattern) is not None
+                assert typed == searched, (pattern.edge_list(), n, t, plus)
 
     def test_roomy_hosts_follow_the_covering_number(self):
         # with both parts as large as the blowup, only the apexes can run

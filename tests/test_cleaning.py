@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -138,6 +139,24 @@ class TestQuantitativeReport:
                 "final_size",
                 "final_shadow",
             }
+
+    def test_bounds_are_the_stated_formulas(self):
+        trace = cleaning_algorithm(s_construction(12, 1), 3, 1)
+        rep = quantitative_report(trace, 0.1)
+        assert rep["steps"]["bound"] == 12 * 3 * 0.1 * 12 * 12
+        assert rep["final_size"]["bound"] == 55 - 48 * 3 * 3 * 0.1 * 12 * 12
+        assert rep["final_shadow"]["bound"] == 66 - 50 * 3 * 3 * 0.1 * 12 * 12
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5, 1e308])
+    def test_rejects_epsilon_outside_its_domain(self, eps):
+        trace = cleaning_algorithm(s_construction(12, 1), 3, 1)
+        with pytest.raises(InputError, match="epsilon"):
+            quantitative_report(trace, eps)
+
+    def test_rejects_a_k_beyond_float_range(self):
+        trace = cleaning_algorithm(s_construction(6, 1), 10**400, 1)
+        with pytest.raises(InputError, match="overflow"):
+            quantitative_report(trace, 0.1)
 
     def test_bounds_hold_whenever_hypothesis_does(self, cleaning_corpus):
         for system, k, t in cleaning_corpus:

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from dataclasses import fields
@@ -31,6 +33,21 @@ def files(tmp_path):
     )
     paths["dir"] = tmp_path
     return tmp_path
+
+
+def test_python_m_crosscut_runs_the_cli(tmp_path):
+    # a checkout runs the CLI without installing: PYTHONPATH=src python -m crosscut
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "crosscut", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: crosscut")
+    wrong = run("no-such-command")
+    assert wrong.returncode == 2 and "invalid choice" in wrong.stderr
 
 
 def test_tree_stats(files, capsys):
@@ -209,6 +226,21 @@ def test_clean_trace_and_check(files, capsys):
     data = json.loads(trace.read_text())
     assert data["q"] == 0 and data["superfull"] is True
     assert main(["check", "--certificate", str(trace), "--host", str(host)]) == 0
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5", "1e308"])
+def test_clean_rejects_epsilon_outside_its_domain(files, capsys, epsilon):
+    # NaN and infinities are not JSON, and 1e308 * n^2 overflows to one:
+    # input error before the trace is written
+    host = files / "s121.edges"
+    save_structure(s_construction(12, 1), host)
+    trace = files / "trace.json"
+    argv = ["clean", "--k", "3", "--t", "1", "--in", str(host), "--trace", str(trace)]
+    assert main(argv + ["--epsilon", epsilon]) == 5
+    assert "epsilon" in capsys.readouterr().err
+    assert not trace.exists()
+    assert main(argv + ["--epsilon", "0"]) == 0
+    assert json.loads(trace.read_text())["quantitative"]["steps"]["bound"] == 0
 
 
 # the canonical certificate of path_graph(3) in its own expansion
