@@ -219,12 +219,12 @@ def quantitative_report(trace: CleaningTrace, epsilon: float) -> dict:
     and each eps*n^2 term finite, else InputError: JSON has no NaN or
     infinity, so the report could not be written as JSON.
     """
-    if not (epsilon >= 0 and math.isfinite(epsilon)):  # NaN fails the first test
+    if not 0 <= epsilon < math.inf:  # NaN fails; an int of any size compares exactly
         raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     h = trace.original
     n, k, t = h.n, trace.k, trace.t
     try:
-        terms = [c * epsilon * n * n for c in (1, 12 * k, 48 * k * k, 50 * k * k)]
+        terms = [c * float(epsilon) * n * n for c in (1, 12 * k, 48 * k * k, 50 * k * k)]
     except OverflowError:  # a factor too large for a float
         terms = [math.inf]
     if not all(map(math.isfinite, terms)):

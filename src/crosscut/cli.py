@@ -260,8 +260,13 @@ def _cmd_check(args) -> int:
     if kind == "cleaning-trace":
         host = load_triple_system(args.host)
         trace = cleaning_mod.cleaning_algorithm(host, data.get("k"), data.get("t"))
-        replay = trace.to_json()
-        same = replay == {key: data.get(key) for key in replay}
+        expected = {"kind": kind, **trace.to_json()}
+        quantitative = data.get("quantitative")
+        epsilon = quantitative.get("epsilon") if isinstance(quantitative, dict) else None
+        if type(epsilon) in (int, float):  # not a JSON boolean
+            expected["quantitative"] = cleaning_mod.quantitative_report(trace, epsilon)
+        data.pop("generated_at", None)
+        same = data == expected
         _emit({"valid": same}, None)
         return EXIT_FOUND if same else EXIT_NEGATIVE
     if kind not in ("embedding", "rainbow"):

@@ -417,13 +417,20 @@ class ClosenessReport:
         }
 
 
-def _condition(value, bound, holds: bool) -> dict:
-    return {"value": value, "bound": bound, "holds": holds}
+def _held(value, bound) -> dict:
+    return {"value": value, "bound": bound, "holds": True}
 
 
-def _candidate_sets(n: int, t: int, delta: float, degree_of) -> list[tuple[int, ...]]:
-    """The t-subsets of [n], highest degree sums first, those inside the
-    t + min(ceil(1/delta), n) highest-degree vertices before the rest."""
+def _candidate_sets(n: int, t: int, delta: float, degree_of, low) -> list[tuple[int, ...]]:
+    """The t-subsets of the vertices of degree at least low, highest degree
+    sums first, those inside the t + min(ceil(1/delta), n) highest-degree
+    of all n vertices before the rest.
+
+    Exact: a report needs every member of its set to have degree at least
+    low, so these are all the sets it can accept, and the sort key (a total
+    order fixed by the set alone) keeps them in their order among all
+    t-subsets of [n]. The first to pass is the one a full scan would pick.
+    """
     if not 0 < delta < 0.5:
         raise InputError("delta must lie in (0, 1/2)")
     if t < 0:
@@ -433,7 +440,7 @@ def _candidate_sets(n: int, t: int, delta: float, degree_of) -> list[tuple[int, 
     ranked = sorted(range(n), key=lambda v: (-degree_of(v), v))
     pool = set(ranked[: t + math.ceil(min(1 / delta, n))])
     return sorted(
-        itertools.combinations(range(n), t),
+        itertools.combinations([v for v in range(n) if degree_of(v) >= low], t),
         key=lambda L: (not pool.issuperset(L), -sum(degree_of(v) for v in L), L),
     )
 
@@ -446,45 +453,36 @@ def hypergraph_closeness(
     (1/2 - delta)*n^2."""
     n = system.n
     degree = [system.degree(v) for v in range(n)]
-    for L in _candidate_sets(n, t, delta, degree.__getitem__):
-        Lset = set(L)
-        outside = sum(1 for e in system.edges if not (set(e) & Lset))
-        mindeg = min((degree[v] for v in L), default=0)
-        low = (0.5 - delta) * n * n
-        cond = {
-            "edges_outside": _condition(outside, delta * n * n, outside <= delta * n * n),
-            "member_degree": _condition(
-                mindeg if L else None, low, all(degree[v] >= low for v in L)
-            ),
-        }
-        if all(c["holds"] for c in cond.values()):
-            return ClosenessReport(tuple(L), delta, cond)
+    low, few = (0.5 - delta) * n * n, delta * n * n
+    for L in _candidate_sets(n, t, delta, degree.__getitem__, low):
+        outside = sum(1 for e in system.edges if not set(e).intersection(L))
+        if outside <= few:
+            return ClosenessReport(tuple(L), delta, {
+                "edges_outside": _held(outside, few),
+                "member_degree": _held(min((degree[v] for v in L), default=None), low),
+            })
     return None
 
 
 def graph_closeness(graph: Graph, t: int, delta: float) -> ClosenessReport | None:
     """First t-set passing the four near-extremal conditions: high degree on
     L, few triangles off L, at least n^2/4 - delta*n^2 edges off L, and
-    near-bipartite remainder."""
+    near-bipartite remainder (computed only when the others hold)."""
     n = graph.n
-    for L in _candidate_sets(n, t, delta, graph.degree):
+    low, few, many = (1 - delta) * n, delta * n * n, n * n / 4 - delta * n * n
+    for L in _candidate_sets(n, t, delta, graph.degree, low):
         rest = graph.without_vertices(L)
         triangles = rest.count_triangles()
-        edges_outside = len(rest.edges)
+        if triangles > few or len(rest.edges) < many:
+            continue
         dist, exact = bipartization_distance(rest)
-        low, few, many = (1 - delta) * n, delta * n * n, n * n / 4 - delta * n * n
-        cond = {
-            "member_degree": _condition(
-                min((graph.degree(v) for v in L), default=None),
-                low,
-                all(graph.degree(v) >= low for v in L),
-            ),
-            "triangles_outside": _condition(triangles, few, triangles <= few),
-            "edges_outside": _condition(edges_outside, many, edges_outside >= many),
-            "bipartization": _condition(dist, few, dist <= few),
-        }
-        if all(c["holds"] for c in cond.values()):
-            return ClosenessReport(tuple(L), delta, cond, exact_bipartization=exact)
+        if dist <= few:
+            return ClosenessReport(tuple(L), delta, {
+                "member_degree": _held(min(map(graph.degree, L), default=None), low),
+                "triangles_outside": _held(triangles, few),
+                "edges_outside": _held(len(rest.edges), many),
+                "bipartization": _held(dist, few),
+            }, exact_bipartization=exact)
     return None
 
 

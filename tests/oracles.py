@@ -8,6 +8,7 @@ checked against it.
 from __future__ import annotations
 
 import itertools
+import math
 
 from crosscut.errors import InputError
 from crosscut.structures import Graph, Pair, TripleSystem, _mask_vertices
@@ -923,3 +924,70 @@ def find_expansion_reference(host: TripleSystem, pattern: Graph, deterministic=T
             cand &= adj[hs[d]]
         cands[i] = cand
         saved[i] = (match[:], owner[:])
+
+
+# ---------------------------------------------------------------------------
+# reference closeness scan: the earlier crosscut.lab closeness reports, which
+# sort every t-subset and test every condition on each, kept verbatim so that
+# the degree-driven scan can be checked report for report
+
+
+def _candidate_sets_reference(n: int, t: int, delta: float, degree_of) -> list[tuple[int, ...]]:
+    if not 0 < delta < 0.5:
+        raise InputError("delta must lie in (0, 1/2)")
+    if t < 0:
+        raise InputError("t must be nonnegative")
+    if t > n:
+        raise InputError("t exceeds the vertex count")
+    ranked = sorted(range(n), key=lambda v: (-degree_of(v), v))
+    pool = set(ranked[: t + math.ceil(min(1 / delta, n))])
+    return sorted(
+        itertools.combinations(range(n), t),
+        key=lambda L: (not pool.issuperset(L), -sum(degree_of(v) for v in L), L),
+    )
+
+
+def closeness_reference(host, t: int, delta: float):
+    """The first t-set, in candidate order, passing every condition of
+    hypergraph_closeness (host a TripleSystem) or graph_closeness (a Graph)."""
+    from crosscut.lab import ClosenessReport, bipartization_distance
+
+    def _condition(value, bound, holds):
+        return {"value": value, "bound": bound, "holds": holds}
+
+    n = host.n
+    if isinstance(host, TripleSystem):
+        degree = [host.degree(v) for v in range(n)]
+        for L in _candidate_sets_reference(n, t, delta, degree.__getitem__):
+            Lset = set(L)
+            outside = sum(1 for e in host.edges if not (set(e) & Lset))
+            mindeg = min((degree[v] for v in L), default=0)
+            low = (0.5 - delta) * n * n
+            cond = {
+                "edges_outside": _condition(outside, delta * n * n, outside <= delta * n * n),
+                "member_degree": _condition(
+                    mindeg if L else None, low, all(degree[v] >= low for v in L)
+                ),
+            }
+            if all(c["holds"] for c in cond.values()):
+                return ClosenessReport(tuple(L), delta, cond)
+        return None
+    for L in _candidate_sets_reference(n, t, delta, host.degree):
+        rest = host.without_vertices(L)
+        triangles = rest.count_triangles()
+        edges_outside = len(rest.edges)
+        dist, exact = bipartization_distance(rest)
+        low, few, many = (1 - delta) * n, delta * n * n, n * n / 4 - delta * n * n
+        cond = {
+            "member_degree": _condition(
+                min((host.degree(v) for v in L), default=None),
+                low,
+                all(host.degree(v) >= low for v in L),
+            ),
+            "triangles_outside": _condition(triangles, few, triangles <= few),
+            "edges_outside": _condition(edges_outside, many, edges_outside >= many),
+            "bipartization": _condition(dist, few, dist <= few),
+        }
+        if all(c["holds"] for c in cond.values()):
+            return ClosenessReport(tuple(L), delta, cond, exact_bipartization=exact)
+    return None

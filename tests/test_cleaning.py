@@ -147,7 +147,7 @@ class TestQuantitativeReport:
         assert rep["final_size"]["bound"] == 55 - 48 * 3 * 3 * 0.1 * 12 * 12
         assert rep["final_shadow"]["bound"] == 66 - 50 * 3 * 3 * 0.1 * 12 * 12
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5, 1e308])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5, 1e308, 10**400])
     def test_rejects_epsilon_outside_its_domain(self, eps):
         trace = cleaning_algorithm(s_construction(12, 1), 3, 1)
         with pytest.raises(InputError, match="epsilon"):

@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,12 +13,26 @@ from pathlib import Path
 import pytest
 
 from crosscut import cli
-from crosscut.builders import expansion, lower_bound_coloring, s_construction
-from crosscut.cleaning import cleaning_algorithm
+from crosscut.builders import (
+    expansion,
+    lower_bound_coloring,
+    s_construction,
+    s_graph,
+    sbi_construction,
+    triangle_blowup,
+    triangle_system,
+)
+from crosscut.cleaning import cleaning_algorithm, extract_d_full, extract_linear_subgraph
 from crosscut.cli import build_parser, main
 from crosscut.config import RunConfig
-from crosscut.fileio import dumps_coloring, save_structure
-from crosscut.structures import Graph
+from crosscut.fileio import (
+    dumps_coloring,
+    load_coloring,
+    load_structure,
+    load_triple_system,
+    save_structure,
+)
+from crosscut.structures import Graph, TripleSystem
 from crosscut.trees import path_graph
 
 
@@ -241,6 +257,66 @@ def test_clean_rejects_epsilon_outside_its_domain(files, capsys, epsilon):
     assert not trace.exists()
     assert main(argv + ["--epsilon", "0"]) == 0
     assert json.loads(trace.read_text())["quantitative"]["steps"]["bound"] == 0
+
+
+def _edit_nothing(data):
+    pass
+
+
+def _set_steps_bound(data):
+    data["quantitative"]["steps"]["bound"] = -999
+
+
+def _garble_quantitative(data):
+    data["quantitative"] = "garbage"
+
+
+def _add_top_level_key(data):
+    data["extra"] = 1
+
+
+def _boolean_epsilon(data):
+    data["quantitative"]["epsilon"] = True
+
+
+def _negative_epsilon(data):
+    data["quantitative"]["epsilon"] = -0.5
+
+
+def _huge_epsilon(data):
+    data["quantitative"]["epsilon"] = 10**400
+
+
+@pytest.mark.parametrize(
+    "epsilon, edit, code",
+    [
+        (None, _edit_nothing, 0),
+        ("0.1", _edit_nothing, 0),
+        ("0", _edit_nothing, 0),
+        ("0.1", _set_steps_bound, 3),
+        ("0.1", _garble_quantitative, 3),
+        ("0.1", _add_top_level_key, 3),
+        (None, _add_top_level_key, 3),
+        ("0.1", _boolean_epsilon, 3),
+        ("0.1", _negative_epsilon, 5),
+        ("0.1", _huge_epsilon, 5),
+    ],
+)
+def test_check_compares_the_whole_cleaning_trace(files, capsys, epsilon, edit, code):
+    # every field but generated_at is replayed, the quantitative block at its
+    # own epsilon; an epsilon that clean --epsilon rejects is an input error
+    host = files / "s121.edges"
+    save_structure(s_construction(12, 1), host)
+    trace = files / "trace.json"
+    argv = ["clean", "--k", "3", "--t", "1", "--in", str(host), "--trace", str(trace)]
+    assert main(argv + (["--epsilon", epsilon] if epsilon else [])) == 0
+    data = json.loads(trace.read_text())
+    edit(data)
+    trace.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["check", "--certificate", str(trace), "--host", str(host)]) == code
+    if code != 5:
+        assert json.loads(capsys.readouterr().out)["valid"] is (code == 0)
 
 
 # the canonical certificate of path_graph(3) in its own expansion
@@ -536,6 +612,67 @@ def test_closeness_cli(files):
     )
 
 
+def test_closeness_cli_without_an_accepted_set_exits_3(files, capsys):
+    host = files / "empty.edges"
+    save_structure(TripleSystem(12, []), host)
+    argv = ["closeness", "--kind", "3graph", "--t", "1", "--delta", "0.1", "--in", str(host)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "mode, param, fmt",
+    [("full", 1, "edgelist"), ("linear", 2, "json"), ("linear", 1, "edgelist")],
+)
+def test_extract_writes_the_library_kernel(files, mode, param, fmt):
+    host, out = files / "s81.edges", files / "kernel.out"
+    system = s_construction(8, 1)
+    save_structure(system, host)
+    argv = ["extract", "--mode", mode, "--param", str(param), "--in", str(host), "--out", str(out)]
+    assert main(argv + ["--format", fmt]) == 0
+    assert out.read_text().lstrip().startswith("{") == (fmt == "json")
+    kernel = extract_d_full if mode == "full" else extract_linear_subgraph
+    assert load_triple_system(out) == kernel(system, param)
+
+
+def test_coloring_writes_the_lower_bound_coloring(files):
+    base, out = files / "s81.edges", files / "chi.out"
+    save_structure(s_construction(8, 1), base)
+    assert main(["coloring", "--base", str(base), "--out", str(out)]) == 0
+    expected = lower_bound_coloring(s_construction(8, 1))
+    written = load_coloring(out)
+    assert (written.n, written.color_of) == (expected.n, expected.color_of)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["expansion", "--in", "p3.edges"], lambda: expansion(path_graph(3))),
+        (["blowup", "--in", "p3.edges"], lambda: triangle_blowup(path_graph(3))),
+        (["kg", "--in", "s91.edges"], lambda: triangle_system(s_graph(9, 1))),
+        (["sbi-plus", "--n", "9", "--t", "1"], lambda: sbi_construction(9, 1, plus=True)),
+    ],
+    ids=["expansion", "blowup", "kg", "sbi-plus"],
+)
+def test_construct_writes_the_builder_output(files, argv, expected):
+    save_structure(s_graph(9, 1), files / "s91.edges")
+    argv = [str(files / a) if a.endswith(".edges") else a for a in argv]
+    out = files / "built.edges"
+    assert main(["construct", *argv, "--out", str(out)]) == 0
+    assert load_structure(out) == expected()
+
+
+def test_contains_blowup_certificate_checks_against_the_graph(files):
+    host, cert = files / "s91.edges", files / "blowup.json"
+    save_structure(s_graph(9, 1), host)
+    argv = ["contains", "--pattern-kind", "blowup", "--host", str(host)]
+    assert main(argv + ["--pattern", str(files / "p2.edges"), "--certificate", str(cert)]) == 0
+    assert json.loads(cert.read_text())["embedding"]["host_kind"] == "graph"
+    assert main(["check", "--certificate", str(cert), "--host", str(host)]) == 0
+    # s_graph(9, 1) is the construction that avoids blowups of sigma = 2 trees
+    assert main(argv + ["--pattern", str(files / "p3.edges")]) == 3
+
+
 def test_anti_ramsey_cli(files, capsys):
     c4 = files / "c4.edges"
     c4.write_text("kind=graph n=4\n0 1\n1 2\n2 3\n0 3\n")
@@ -740,6 +877,21 @@ def test_readme_global_options_match_the_parser_and_run_config():
     # the other lowercase names are config keys, apart from values and commands
     keys = {n for n in names if re.fullmatch(r"[a-z_]+", n)} - {"json", "csv", "verify", "turan"}
     assert keys == {f.name for f in fields(RunConfig)}
+
+
+def test_readme_command_lines_parse(capsys):
+    # each line of the Command line block, continuations joined and the
+    # comment dropped, is accepted by the parser; together they use every command
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    [block] = re.findall(r"^## Command line\n\n```sh\n(.*?)^```", readme, re.S | re.M)
+    parser = build_parser()
+    commands = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "crosscut", line
+        commands.add(parser.parse_args(argv[1:]).command)
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert commands == set(subparsers.choices)
 
 
 def test_readme_library_example_prints_its_comments(capsys):

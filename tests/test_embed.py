@@ -43,6 +43,7 @@ from crosscut.structures import Graph, TripleSystem, sorted_pair
 from crosscut.trees import (
     analyze_tree,
     complete_graph,
+    crosscut_number,
     crosscut_value,
     cycle_graph,
     enumerate_trees,
@@ -757,6 +758,35 @@ class TestEmbedTreeTwoSets:
         got = _completion_of(emb)
         pre = {p: w for p, w in got.items() if w == 0}
         assert got == _least_completion(host, list(got), pre)
+
+    # the only trees on at most 9 vertices whose crosscut pair has a leftover
+    # edge: I = {2, 5} (resp. {2, 6}) and R = {01}, so sigma = 3
+    LEFTOVER_TREES = [
+        Graph(8, [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (5, 7)]),
+        Graph(9, [(0, 1), (0, 6), (1, 2), (2, 3), (2, 4), (2, 5), (6, 7), (6, 8)]),
+    ]
+
+    @pytest.mark.parametrize("s2", [{0, 2}, {2, 3}], ids=["shared-apex", "disjoint-apexes"])
+    @pytest.mark.parametrize("tree", LEFTOVER_TREES, ids=lambda t: f"{t.n}-vertices")
+    def test_leftover_edges_are_grown_in_g1(self, monkeypatch, tree, s2):
+        # the recipe grows the leftover forest in G1 and completes it by the
+        # apex of S1 that no vertex of I uses; the fallback is switched off
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the recipe fell back to the exact search")
+
+        monkeypatch.setattr(embed, "find_expansion", no_fallback)
+        s1, v1, v2 = {0, 1}, range(4, 26), range(15, 37)
+        g1, g2 = Graph(40, itertools.combinations(v1, 2)), Graph(40, itertools.combinations(v2, 2))
+        triples = {(x, a, b) for x in s1 for a, b in g1.edges}
+        triples |= {tuple(sorted((x, c, d))) for x in s2 for c, d in g2.edges}
+        host = TripleSystem(40, triples)
+        assert crosscut_number(tree)[1].leftover == ((0, 1),)
+        emb = embed_tree_two_sets(host, tree, s1, s2, v1, v2, g1, g2)
+        assert emb.validate(host)
+        core = emb.core_map
+        assert core[2] == 2  # v* = 2 goes to min(S2 - S1)
+        assert {core[0], core[1]} <= set(v1)  # the leftover edge 01 lies in G1
+        assert dict(emb.expansion_map)[(0, 1)] == 1  # completed by the leftover apex
 
     def test_empty_overlap_is_a_hypothesis_error(self):
         host, v1, v2, g1, g2 = self._host()

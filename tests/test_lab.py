@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,11 +49,12 @@ from crosscut.trees import (
     star_graph,
 )
 
-from conftest import random_graph
+from conftest import random_graph, random_triple_system
 from oracles import (
     _refined_classes_reference,
     canonical_edge_key_reference,
     canonical_key_naive,
+    closeness_reference,
     generalized_turan_naive,
     levelwise_max_reference,
     maxcut_naive,
@@ -820,9 +822,54 @@ class TestCloseness:
         assert tiny is not None and small is not None
         assert tiny.removed == small.removed == ()
         h = s_graph(12, 2)
-        assert lab._candidate_sets(12, 2, 5e-324, h.degree) == lab._candidate_sets(
-            12, 2, 1e-9, h.degree
+        assert lab._candidate_sets(12, 2, 5e-324, h.degree, 0) == lab._candidate_sets(
+            12, 2, 1e-9, h.degree, 0
         )
+
+    @staticmethod
+    def _near_extremal(rng, host, arity):
+        """host with up to a fifth of its edges dropped and up to n others added."""
+        edges = sorted(host.edges)
+        kept = rng.sample(edges, len(edges) - rng.randint(0, len(edges) // 5))
+        others = [e for e in itertools.combinations(range(host.n), arity) if e not in host.edges]
+        noise = rng.sample(others, min(len(others), rng.randint(0, host.n)))
+        return (TripleSystem if arity == 3 else Graph)(host.n, kept + noise)
+
+    def test_reports_match_the_full_scan(self):
+        # 700 3-graphs and 500 graphs on at most 14 vertices, random or near
+        # S(n, t) / s_graph(n, t); the reference sorts every t-set and tests
+        # every condition on each
+        rng = random.Random(28)
+        reports = 0
+        for i in range(1200):
+            arity = 3 if i < 700 else 2
+            n = rng.randint(3, 14)
+            t = rng.randint(0, min(3, n))
+            delta = rng.choice([0.1, 0.2, 0.25, 0.4, rng.uniform(0.02, 0.49)])  # bounds met with equality too
+            if i % 2:
+                apex = rng.randint(0, min(3, n))
+                build = s_construction if arity == 3 else s_graph
+                host = self._near_extremal(rng, build(n, apex), arity)
+            else:
+                sample = random_triple_system if arity == 3 else random_graph
+                host = sample(rng, n, rng.uniform(0.1, 0.95))
+            report = (hypergraph_closeness if arity == 3 else graph_closeness)(host, t, delta)
+            expected = closeness_reference(host, t, delta)
+            assert (report and report.to_json()) == (expected and expected.to_json()), i
+            reports += expected is not None
+        assert reports == 377
+
+    def test_sparse_hosts_return_none_quickly(self):
+        # no vertex meets the degree bound, so no set is scanned
+        start = time.perf_counter()
+        assert hypergraph_closeness(TripleSystem(200, [(0, 1, 2), (3, 4, 5)]), 3, 0.1) is None
+        assert time.perf_counter() - start < 1
+
+    def test_complete_graph_skips_the_max_cut(self):
+        # every 2-set fails the triangle bound before its bipartization
+        start = time.perf_counter()
+        assert graph_closeness(complete_graph(24), 2, 0.1) is None
+        assert time.perf_counter() - start < 1
 
 
 class TestBipartization:
