@@ -7,10 +7,11 @@ formats.  JSON mirror:
 {"kind": "3graph", "n": 12, "edges": [[0, 1, 2], ...]}.  Coloring files
 list `u v w c` for every triple of [n].  The loaders check syntax and
 repeated edges; `Graph`, `TripleSystem` and `Coloring` reject a bad edge,
-triple or color, and the loaders prefix that message with the file and
-line or JSON index: `g.edges:4: edge (0, 3) out of range for n=3`.  The
-constructors also own the vertex-count limit of 10^6, for files as for
-certificates, builders and library calls; a loader checks a count's syntax.
+triple or color.  A rejected row's error carries its index, and the loader
+only maps that index to the file and line or JSON index of its prefix:
+`g.edges:4: edge (0, 3) out of range for n=3`.  The constructors also own
+the vertex-count limit of 10^6, for files as for certificates, builders and
+library calls; a loader checks a count's syntax.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .builders import Coloring
 from .errors import InputError
-from .structures import Graph, TripleSystem, sorted_triple
+from .structures import Graph, TripleSystem, _RowError, sorted_triple
 
 # ids and counts in text files are ASCII decimal integers; int() alone would
 # also take "1_2" (as 12), "+1" and non-ASCII digits such as "١"
@@ -54,14 +55,17 @@ def _count(field: str, path: str, bad: str) -> int:
 
 def _structure(kind: str, n: int, rows: list, where, path: str) -> Graph | TripleSystem:
     """Build the structure from rows of vertex ids; the constructor decides
-    which rows are edges.  where(i) locates row i in messages: the row the
-    constructor rejects, or the first row repeating an earlier edge (looked
-    for only when there are fewer edges than rows)."""
+    which rows are edges and names the index of the row it rejects.
+    where(i) maps that index, or the first row repeating an earlier edge
+    (looked for only when there are fewer edges than rows), to its place in
+    messages; an error about no row gets the bare path."""
     build = Graph if kind == "graph" else TripleSystem
     try:
         obj = build(n, rows)
+    except _RowError as exc:
+        raise InputError(f"{where(exc.index)}: {exc}") from None
     except InputError as exc:
-        raise _located(exc, build, n, rows, where, path) from None
+        raise InputError(f"{path}: {exc}") from None
     if len(obj) != len(rows):
         seen = set()
         for i, vs in enumerate(rows):
@@ -70,22 +74,6 @@ def _structure(kind: str, n: int, rows: list, where, path: str) -> Graph | Tripl
                 raise InputError(f"{where(i)}: duplicate edge {key}")
             seen.add(key)
     return obj
-
-
-def _located(exc: InputError, build, n: int, rows: list, where, path: str) -> InputError:
-    """exc, raised by build(n, rows), prefixed by where(i) for the first row
-    that build(n, [row]) rejects: rows are checked in order, so that row is
-    the one exc is about.  An exc that no row causes gets the bare path."""
-    try:
-        build(n, ())
-    except InputError:  # the count fails every row's build: blame no row
-        rows = ()
-    for i, row in enumerate(rows):
-        try:
-            build(n, [row])
-        except InputError:
-            return InputError(f"{where(i)}: {exc}")
-    return InputError(f"{path}: {exc}")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -212,11 +200,12 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
         if t in color_of:
             raise InputError(f"{path}:{lineno}: duplicate triple {t}")
         color_of[t] = c
-    try:
+    try:  # Coloring hands its keys, in file order, to TripleSystem
         return Coloring(n, color_of)
+    except _RowError as exc:
+        raise InputError(f"{path}:{lines[exc.index + 1][0]}: {exc}") from None
     except InputError as exc:
-        where = lambda i: f"{path}:{lines[i + 1][0]}"
-        raise _located(exc, TripleSystem, n, list(color_of), where, path) from None
+        raise InputError(f"{path}: {exc}") from None
 
 
 def dumps_coloring(coloring: Coloring) -> str:

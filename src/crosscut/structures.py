@@ -49,25 +49,36 @@ def _check_n(n: object) -> None:
         raise InputError(f"vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
-def _bad_edge(edge: object, n: int, arity: int) -> InputError:
-    """The error for an edge (arity 2) or triple (arity 3) that failed a
-    constructor's one-line check.  The faults are tried in a fixed order:
-    not `arity` ids, an id that is not an int (bools and floats included),
-    a repeated vertex, an id outside [0, n)."""
+class _RowError(InputError):
+    """A constructor's rejection of one edge or triple.
+
+    `index` is the row's position in the iterable the constructor was
+    given, so a loader can name the line or JSON index at fault."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _bad_edge(edge: object, n: int, arity: int, index: int) -> _RowError:
+    """The error for row `index`, an edge (arity 2) or triple (arity 3)
+    that failed a constructor's one-line check.  The faults are tried in a
+    fixed order: not `arity` ids, an id that is not an int (bools and floats
+    included), a repeated vertex, an id outside [0, n)."""
     kind = "edge" if arity == 2 else "triple"
     try:
         vs = tuple(edge)
     except TypeError:
-        return InputError(f"{kind} {edge!r} is not a sequence of vertex ids")
+        return _RowError(index, f"{kind} {edge!r} is not a sequence of vertex ids")
     if len(vs) != arity:
-        return InputError(f"{kind} {vs} must have {arity} vertices")
+        return _RowError(index, f"{kind} {vs} must have {arity} vertices")
     if not all(type(x) is int for x in vs):
-        return InputError(f"{kind} {vs} has a vertex id that is not an integer")
+        return _RowError(index, f"{kind} {vs} has a vertex id that is not an integer")
     if len(set(vs)) != arity:
         if arity == 2:
-            return InputError(f"loop at vertex {vs[0]}")
-        return InputError(f"triple {vs} has repeated vertices")
-    return InputError(f"{kind} {vs} out of range for n={n}")
+            return _RowError(index, f"loop at vertex {vs[0]}")
+        return _RowError(index, f"triple {vs} has repeated vertices")
+    return _RowError(index, f"{kind} {vs} out of range for n={n}")
 
 
 def _mask_vertices(mask: int) -> list[int]:
@@ -95,13 +106,13 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         _check_n(n)
         clean: set[Pair] = set()
-        for e in edges:
+        for i, e in enumerate(edges):
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise _bad_edge(e, n, 2) from None
+                raise _bad_edge(e, n, 2, i) from None
             if not (int is type(u) is type(v) and u != v and 0 <= u < n and 0 <= v < n):
-                raise _bad_edge(e, n, 2)
+                raise _bad_edge(e, n, 2, i)
             clean.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(clean)
@@ -239,13 +250,13 @@ class TripleSystem:
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
         _check_n(n)
         clean: set[Triple] = set()
-        for t in triples:
+        for i, t in enumerate(triples):
             try:
                 a, b, c = sorted(t)
             except (TypeError, ValueError):
-                raise _bad_edge(t, n, 3) from None
+                raise _bad_edge(t, n, 3, i) from None
             if not (int is type(a) is type(b) is type(c) and 0 <= a < b < c < n):
-                raise _bad_edge(t, n, 3)
+                raise _bad_edge(t, n, 3, i)
             clean.add((a, b, c))
         self.n = n
         self.edges = frozenset(clean)
@@ -314,11 +325,7 @@ class TripleSystem:
 
     def codegree(self, u: int, v: int) -> int:
         """Number of triples through the pair uv."""
-        if u == v:
-            raise InputError("codegree of a repeated vertex is undefined")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InputError(f"pair {(u, v)} out of range for n={self.n}")
-        return self.codegree_mask(u, v).bit_count()
+        return len(self.codegree_neighborhood(u, v))
 
     def codegree_neighborhood(self, u: int, v: int) -> list[int]:
         """Third vertices completing uv to a triple."""

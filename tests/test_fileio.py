@@ -1,4 +1,5 @@
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -260,3 +261,80 @@ def test_rejected_rows_are_located(loader, text, message):
     with pytest.raises(InputError) as info:
         loader(text, "f")
     assert str(info.value) == message
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The Graph and TripleSystem constructions made, by class name."""
+    made = []
+    for cls in (Graph, TripleSystem):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            made.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "loader, valid, rejected, message, kind",
+    [
+        (
+            loads_edge_text,
+            "kind=graph n=5\n0 1\n1 2\n2 3\n",
+            "kind=graph n=5\n0 1\n1 2\n2 3\n3 3\n",
+            "f:5: loop at vertex 3",
+            "Graph",
+        ),
+        (
+            loads_edge_text,
+            "kind=3graph n=5\n0 1 2\n0 1 3\n",
+            "kind=3graph n=5\n0 1 2\n0 1 3\n0 1 5\n",
+            "f:4: triple (0, 1, 5) out of range for n=5",
+            "TripleSystem",
+        ),
+        (
+            loads_edge_json,
+            '{"kind":"3graph","n":5,"edges":[[0,1,2],[0,1,3],[0,1,4]]}',
+            '{"kind":"3graph","n":5,"edges":[[0,1,2],[0,1,3],[0,1,4],[1,1,2]]}',
+            "f: edges[3]: triple (1, 1, 2) has repeated vertices",
+            "TripleSystem",
+        ),
+        (
+            loads_coloring,
+            "n=4\n0 1 2 0\n0 1 3 0\n0 2 3 0\n1 2 3 0\n",
+            "n=4\n0 1 2 0\n0 1 3 0\n0 2 3 0\n1 2 4 0\n",
+            "f:5: triple (1, 2, 4) out of range for n=4",
+            "TripleSystem",
+        ),
+    ],
+    ids=["text-graph", "text-3graph", "json", "coloring"],
+)
+def test_a_load_constructs_one_structure(builds, loader, valid, rejected, message, kind):
+    # the constructor names the row it rejects: no structure is rebuilt per row
+    with pytest.raises(InputError) as info:
+        loader(rejected, "f")
+    assert str(info.value) == message
+    assert builds == [kind]
+    builds.clear()
+    loader(valid, "f")
+    assert builds == [kind]
+
+
+@pytest.mark.parametrize(
+    "loader, where",
+    [(loads_edge_text, "h:8002"), (loads_edge_json, "h: edges[8000]")],
+    ids=["text", "json"],
+)
+def test_a_late_bad_row_in_a_large_system_is_located_fast(loader, where):
+    triples = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(8000)] + [(5, 5, 6)]
+    if loader is loads_edge_text:
+        text = "kind=3graph n=1000000\n" + "".join(f"{a} {b} {c}\n" for a, b, c in triples)
+    else:
+        text = f'{{"kind":"3graph","n":1000000,"edges":{[list(t) for t in triples]}}}'
+    start = time.perf_counter()
+    with pytest.raises(InputError) as info:
+        loader(text, "h")
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"{where}: triple (5, 5, 6) has repeated vertices"

@@ -20,6 +20,7 @@ from crosscut.builders import (
     s_construction,
     s_contains,
     s_graph,
+    sbi_contains,
     s_size,
 )
 from crosscut.config import SearchBudget
@@ -1043,25 +1044,23 @@ class TestApexContainment:
 
 
 class TestConstructionFreenessInvariant:
-    def test_joined_graphs_avoid_matching_blowups_up_to_14(self):
+    def test_joined_graphs_avoid_matching_blowups_up_to_40(self):
+        # find_blowup searches at n = 13, 14 check the template rule, which
+        # decides the larger n
         from crosscut.embed import find_blowup
-        from crosscut.trees import cycle_graph as cyc
 
         cases = []
         for t in (1, 2, 3):
             cases.append((path_graph(2 * t + 1), t, False))
             cases.append((path_graph(2 * t + 2), t, True))
             if t >= 2:
-                cases.append((cyc(2 * t + 2), t, True))
+                cases.append((cycle_graph(2 * t + 2), t, True))
         for pattern, t, plus in cases:
+            case = (pattern.edge_list(), t, plus)
             for n in (13, 14):
-                host = s_graph(n, t, plus=plus)
-                assert find_blowup(host, pattern) is None, (
-                    pattern.edge_list(),
-                    n,
-                    t,
-                    plus,
-                )
+                assert find_blowup(s_graph(n, t, plus=plus), pattern) is None, (case, n)
+            for n in range(15, 41):
+                assert not sbi_contains(n, t, pattern, plus), (case, n)
 
 
 class TestVerifySuites:

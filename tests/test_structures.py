@@ -190,6 +190,15 @@ class TestTripleSystem:
         with pytest.raises(InputError):
             h.codegree(1, 1)
 
+    @pytest.mark.parametrize("method", ["codegree", "codegree_neighborhood"])
+    def test_codegree_queries_share_their_messages(self, method):
+        query = getattr(TripleSystem(5, [(1, 2, 3)]), method)
+        with pytest.raises(InputError, match=r"^codegree of a repeated vertex is undefined$"):
+            query(2, 2)
+        for pair in [(1, 5), (-1, 2)]:
+            with pytest.raises(InputError, match=rf"^pair \({pair[0]}, {pair[1]}\) out of range for n=5$"):
+                query(*pair)
+
     def test_codegree_profile_examples(self):
         h = TripleSystem(5, [(1, 2, 3), (1, 2, 4)])
         p = edge_codegree_profile(h, (1, 2, 3))
