@@ -36,6 +36,18 @@ class HypothesisError(InputError):
         self.hypothesis = hypothesis
 
 
+class RowError(InputError):
+    """A constructor's rejection of one edge or triple.
+
+    `index` is the row's position in the iterable the constructor was
+    given, so a loader can name the line or JSON index at fault.
+    """
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 @contextmanager
 def digit_limit_as_input_error():
     """Report an int too long for str() (int_max_str_digits) as an InputError.

@@ -21,8 +21,8 @@ import re
 from pathlib import Path
 
 from .builders import Coloring
-from .errors import InputError
-from .structures import Graph, TripleSystem, _RowError, sorted_triple
+from .errors import InputError, RowError
+from .structures import Graph, TripleSystem, sorted_triple
 
 # ids and counts in text files are ASCII decimal integers; int() alone would
 # also take "1_2" (as 12), "+1" and non-ASCII digits such as "١"
@@ -62,7 +62,7 @@ def _structure(kind: str, n: int, rows: list, where, path: str) -> Graph | Tripl
     build = Graph if kind == "graph" else TripleSystem
     try:
         obj = build(n, rows)
-    except _RowError as exc:
+    except RowError as exc:
         raise InputError(f"{where(exc.index)}: {exc}") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
@@ -202,7 +202,7 @@ def loads_coloring(text: str, path: str = "<coloring>") -> Coloring:
         color_of[t] = c
     try:  # Coloring hands its keys, in file order, to TripleSystem
         return Coloring(n, color_of)
-    except _RowError as exc:
+    except RowError as exc:
         raise InputError(f"{path}:{lines[exc.index + 1][0]}: {exc}") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None

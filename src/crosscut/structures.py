@@ -14,7 +14,7 @@ import types
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, RowError
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -49,18 +49,7 @@ def _check_n(n: object) -> None:
         raise InputError(f"vertex count {n} exceeds the limit {_MAX_VERTICES}")
 
 
-class _RowError(InputError):
-    """A constructor's rejection of one edge or triple.
-
-    `index` is the row's position in the iterable the constructor was
-    given, so a loader can name the line or JSON index at fault."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
-def _bad_edge(edge: object, n: int, arity: int, index: int) -> _RowError:
+def _bad_edge(edge: object, n: int, arity: int, index: int) -> RowError:
     """The error for row `index`, an edge (arity 2) or triple (arity 3)
     that failed a constructor's one-line check.  The faults are tried in a
     fixed order: not `arity` ids, an id that is not an int (bools and floats
@@ -69,16 +58,16 @@ def _bad_edge(edge: object, n: int, arity: int, index: int) -> _RowError:
     try:
         vs = tuple(edge)
     except TypeError:
-        return _RowError(index, f"{kind} {edge!r} is not a sequence of vertex ids")
+        return RowError(index, f"{kind} {edge!r} is not a sequence of vertex ids")
     if len(vs) != arity:
-        return _RowError(index, f"{kind} {vs} must have {arity} vertices")
+        return RowError(index, f"{kind} {vs} must have {arity} vertices")
     if not all(type(x) is int for x in vs):
-        return _RowError(index, f"{kind} {vs} has a vertex id that is not an integer")
+        return RowError(index, f"{kind} {vs} has a vertex id that is not an integer")
     if len(set(vs)) != arity:
         if arity == 2:
-            return _RowError(index, f"loop at vertex {vs[0]}")
-        return _RowError(index, f"triple {vs} has repeated vertices")
-    return _RowError(index, f"{kind} {vs} out of range for n={n}")
+            return RowError(index, f"loop at vertex {vs[0]}")
+        return RowError(index, f"triple {vs} has repeated vertices")
+    return RowError(index, f"{kind} {vs} out of range for n={n}")
 
 
 def _mask_vertices(mask: int) -> list[int]:
@@ -325,15 +314,15 @@ class TripleSystem:
 
     def codegree(self, u: int, v: int) -> int:
         """Number of triples through the pair uv."""
-        return len(self.codegree_neighborhood(u, v))
-
-    def codegree_neighborhood(self, u: int, v: int) -> list[int]:
-        """Third vertices completing uv to a triple."""
         if u == v:
             raise InputError("codegree of a repeated vertex is undefined")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise InputError(f"pair {(u, v)} out of range for n={self.n}")
-        return _mask_vertices(self.codegree_mask(u, v))
+        return self.codegree_mask(u, v).bit_count()
+
+    def codegree_neighborhood(self, u: int, v: int) -> list[int]:
+        """Third vertices completing uv to a triple."""
+        return _mask_vertices(self.codegree_mask(u, v)) if self.codegree(u, v) else []
 
     def shadow_pairs(self) -> list[Pair]:
         return sorted([(u, v) for u, row in enumerate(self.rows) for v in row if u < v])

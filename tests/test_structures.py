@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,17 @@ class TestTripleSystem:
         for pair in [(1, 5), (-1, 2)]:
             with pytest.raises(InputError, match=rf"^pair \({pair[0]}, {pair[1]}\) out of range for n=5$"):
                 query(*pair)
+
+    def test_codegree_counts_bits_without_listing_them(self):
+        # 20,000 triples through one pair: listing the third vertices takes
+        # about 0.04 s a call, counting the mask's bits microseconds
+        m = 20_000
+        h = TripleSystem(m + 2, [(0, 1, k) for k in range(2, m + 2)])
+        start = time.perf_counter()
+        for _ in range(200):
+            assert h.codegree(0, 1) == m
+        assert time.perf_counter() - start < 0.5
+        assert h.codegree_neighborhood(0, 1) == list(range(2, m + 2))
 
     def test_codegree_profile_examples(self):
         h = TripleSystem(5, [(1, 2, 3), (1, 2, 4)])
