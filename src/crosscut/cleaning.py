@@ -14,7 +14,8 @@ left at codegree t-1 or t; only these pairs are classified again.
 Linear extraction is a greedy minimum-degree independent set in the graph
 of edges sharing i vertices; it runs in near-linear time from vertex or
 pair incidence buckets and a lazy heap of live degrees, without building
-that graph.
+that graph.  Heap entries are the integers degree * m + index (m edges),
+which sort as the (degree, index) pairs they encode.
 """
 
 from __future__ import annotations
@@ -289,16 +290,20 @@ def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
     Greedy minimum-degree independent set in the auxiliary graph joining
     edges that share at least i vertices (ties break lexicographically).
     That graph is never built: each edge's neighbours are the union of its
-    vertex (i = 1) or pair (i = 2) buckets, which hold live edges only.
-    Live degrees sit in a list and picks come from a heap of (degree,
-    index); the edge list is sorted, so index order is edge order, and
-    degrees only fall, so a stale entry carries a larger key than the live
-    one and is skipped when it surfaces.
+    vertex (i = 1) or pair (i = 2) buckets, which hold live edges only;
+    `lists[j]` holds edge j's buckets themselves.  Live degrees sit in a
+    list and picks come from a heap of the integers d * m + j for edge j
+    at degree d, m = |edges|: since 0 <= j < m, divmod(key, m) gives back
+    (d, j) and keys sort exactly as those pairs, and only live edges, with
+    d >= 0, are pushed.  The edge list is sorted, so index order is edge
+    order, and degrees only fall, so a stale entry carries a larger key
+    than the live one and is skipped when it surfaces.
     """
     _check_i(i)
     if not system.edges:
         raise InputError("linear extraction needs a nonempty system")
     edges = system.edge_list()
+    m = len(edges)
     if i == 1:
         keys = edges
     else:
@@ -307,18 +312,19 @@ def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
     for j, ks in enumerate(keys):
         for key in ks:
             buckets.setdefault(key, set()).add(j)
+    lists = [[buckets[key] for key in ks] for ks in keys]
 
     def neighbours(j: int) -> set[int]:
-        out = set().union(*(buckets[key] for key in keys[j]))
+        out = set().union(*lists[j])
         out.discard(j)
         return out
 
-    degree = [len(neighbours(j)) for j in range(len(edges))]
-    heap = [(d, j) for j, d in enumerate(degree)]
+    degree = [len(neighbours(j)) for j in range(m)]
+    heap = [d * m + j for j, d in enumerate(degree)]
     heapq.heapify(heap)
     chosen: list[Triple] = []
     while heap:
-        d, pick = heapq.heappop(heap)
+        d, pick = divmod(heapq.heappop(heap), m)
         if degree[pick] != d:
             continue
         chosen.append(edges[pick])
@@ -326,15 +332,15 @@ def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
         dead.add(pick)
         for j in dead:
             degree[j] = -1
-            for key in keys[j]:
-                buckets[key].discard(j)
+            for bucket in lists[j]:
+                bucket.discard(j)
         touched: set[int] = set()
         for j in dead:
             for l in neighbours(j):
                 degree[l] -= 1
                 touched.add(l)
         for l in touched:
-            heapq.heappush(heap, (degree[l], l))
+            heapq.heappush(heap, degree[l] * m + l)
     return TripleSystem(system.n, chosen)
 
 

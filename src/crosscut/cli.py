@@ -9,10 +9,12 @@ byte-identical apart from the generated_at field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import cleaning as cleaning_mod
@@ -46,6 +48,40 @@ EXIT_BUDGET = 4
 EXIT_INPUT = 5
 
 
+def _json_text(value, indent: str = "") -> str:
+    """`value` exactly as json.dumps(value, sort_keys=True, indent=2) writes
+    it, each line after the first prefixed by `indent`.
+
+    json.dumps with an indent runs the pure-Python encoder; reports are
+    mostly nested lists of ints, which this writes with str.join.  Lists,
+    tuples and str-keyed dicts are written here, plain ints by int.__repr__
+    (as the encoder does); every other value, bool, None, float, str and
+    subclasses included, goes to json.dumps, whose lines take the prefix.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [
+            int.__repr__(item) if type(item) is int else _json_text(item, inner)
+            for item in value
+        ]
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value)
+        ]
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    opener, closer = ("{", "}") if kind is dict else ("[", "]")
+    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closer}"
+
+
 def _emit(data: dict, out: str | None, rows: list[dict] | None = None, fmt: str = "json") -> None:
     """Write a JSON report (sorted keys, timestamped) or, when rows are
     provided and csv is selected, a flat table for external plotting."""
@@ -58,7 +94,7 @@ def _emit(data: dict, out: str | None, rows: list[dict] | None = None, fmt: str 
         else:
             data = dict(data)
             data["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-            text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            text = _json_text(data) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -297,7 +333,11 @@ def _cmd_check(args) -> int:
     return EXIT_FOUND
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every `main` call:
+    parsing leaves it unchanged, no action has a mutable default, and the
+    handlers it names look up the loaders and modules they use when called."""
     parser = argparse.ArgumentParser(
         prog="crosscut",
         description="Construct, analyze, and exhaustively verify expansions "

@@ -448,14 +448,16 @@ def _candidate_sets(n: int, t: int, delta: float, degree_of, low) -> list[tuple[
 def hypergraph_closeness(
     system: TripleSystem, t: int, delta: float
 ) -> ClosenessReport | None:
-    """First t-set L (highest degree sums first) whose removal leaves at
-    most delta*n^2 edges while every vertex of L has degree at least
-    (1/2 - delta)*n^2."""
+    """First t-set L (highest degree sums first) whose removal leaves at most
+    delta*n^2 edges while every vertex of L has degree >= (1/2 - delta)*n^2.
+    Edges meeting L = degrees - pair codegrees + triples in L (4-fold terms vanish)."""
     n = system.n
     degree = [system.degree(v) for v in range(n)]
     low, few = (0.5 - delta) * n * n, delta * n * n
     for L in _candidate_sets(n, t, delta, degree.__getitem__, low):
-        outside = sum(1 for e in system.edges if not set(e).intersection(L))
+        codegrees = sum(system.codegree(u, v) for u, v in itertools.combinations(L, 2))
+        inside = sum(system.has_triple(*e) for e in itertools.combinations(L, 3))
+        outside = len(system.edges) - sum(degree[v] for v in L) + codegrees - inside
         if outside <= few:
             return ClosenessReport(tuple(L), delta, {
                 "edges_outside": _held(outside, few),

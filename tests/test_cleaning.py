@@ -275,6 +275,13 @@ class TestAgainstNaive:
             if system.edges:
                 _assert_linear_matches_naive(system)
 
+    def test_linear_on_planted_hosts(self):
+        # the clean-cli sizes: about 600-1,000 edges, where one pick kills
+        # many edges and most heap entries go stale
+        rng = random.Random(1)
+        for n in (28, 32, 36):
+            _assert_linear_matches_naive(planted_host(rng, n, 2))
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(3, 14),

@@ -1,7 +1,9 @@
 import argparse
+import itertools
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -906,3 +908,81 @@ def test_readme_library_example_prints_its_comments(capsys):
     assert expected == ["None", "0 True"]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_report_writer_matches_json_dumps_on_every_report_kind(files, tmp_path, capsys, monkeypatch):
+    # every _emit call site runs once; each report it writes is the text
+    # json.dumps(..., sort_keys=True, indent=2) gives
+    write, reports = cli._json_text, []
+    monkeypatch.setattr(cli, "_json_text", lambda value, indent="": (
+        reports.append(value) if not indent else None) or write(value, indent))
+    p2, p3, host = (str(files / name) for name in ("p2.edges", "p3.edges", "s_10_2.edges"))
+    (tmp_path / "c4.edges").write_text("kind=graph n=4\n0 1\n1 2\n2 3\n0 3\n")
+    save_structure(TripleSystem(10, []), tmp_path / "empty.edges")
+    lines = [f"{a} {b} {c} {i}" for i, (a, b, c) in enumerate(itertools.combinations(range(6), 3))]
+    (tmp_path / "distinct.txt").write_text("\n".join(["n=6", *lines]) + "\n")
+    cert, rainbow, trace = (str(tmp_path / name) for name in ("emb.json", "rb.json", "trace.json"))
+    runs = [
+        ["tree", "stats", p3],
+        ["tree", "enum", "--n", "5", "--out", str(tmp_path / "trees")],
+        ["contains", "--pattern-kind", "expansion", "--pattern", p3, "--host", host, "--certificate", cert],
+        ["check", "--certificate", cert, "--host", host],
+        ["check", "--certificate", cert, "--host", str(tmp_path / "empty.edges")],
+        ["rainbow", "--coloring", str(tmp_path / "distinct.txt"), "--pattern", p2, "--certificate", rainbow],
+        ["clean", "--k", "3", "--t", "2", "--in", host, "--trace", trace, "--epsilon", "0.01"],
+        ["check", "--certificate", trace, "--host", host],
+        ["turan", "--mode", "hypergraph", "--n", "5", "--pattern", p3],
+        ["closeness", "--kind", "3graph", "--t", "2", "--delta", "0.2", "--in", host],
+        ["anti-ramsey", "--tree", p3, "--aug", str(tmp_path / "c4.edges"), "--n", "8"],
+        ["verify", "--suite", "facts", "--max-n", "4"],
+    ]
+    assert [main(argv) for argv in runs] == [0] * 4 + [3] + [0] * 7
+    capsys.readouterr()
+    assert len(reports) == len(runs)
+    for report in reports:
+        assert write(report) == json.dumps(report, sort_keys=True, indent=2)
+    assert reports[4]["problems"] and "quantitative" in reports[6]
+
+
+def _random_payload(rng, depth=0):
+    scalars = [
+        0, -1, 7, 10**40, -(10**25), True, False, None, 0.0, -0.0, 1e-7, 1.5e300, 0.1,
+        "", "plain", "é ü 字 \U0001f600", "tab\tnew\nline\x00\x1f\"q\"\\", " ",
+    ]
+    if depth >= 4 or rng.random() < 0.4:
+        return rng.choice(scalars)
+    size = rng.choice([0, 0, 1, 2, 3, 5])
+    kind = rng.choice(["list", "tuple", "dict", "dict"])
+    if kind == "dict":
+        keys = rng.sample(["a", "B", "é", "key\n", "\x7f", "10", "2", "", "z z"], min(size, 9))
+        return {key: _random_payload(rng, depth + 1) for key in keys}
+    items = [_random_payload(rng, depth + 1) for _ in range(size)]
+    return items if kind == "list" else tuple(items)
+
+
+def test_report_writer_matches_json_dumps_on_random_payloads():
+    rng = random.Random(36)
+    for _ in range(2000):
+        payload = _random_payload(rng)
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    # non-str keys and containers of a subclass go to json.dumps whole
+    for payload in ({1: [2], 0: {}}, {"k": {3: (4,)}}, [{"a": [[]]}, ({},)], [True, [False]]):
+        assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_parser_is_built_once_per_process(files, capsys):
+    build_parser.cache_clear()
+    p3 = str(files / "p3.edges")
+    for argv in (["tree", "stats", p3], ["no-such-command"], ["--help"], ["tree", "stats", p3]):
+        main(argv)
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 1
+    assert build_parser().parse_args(["tree", "stats", p3]).func is cli._cmd_tree_stats
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import crosscut.cli as cli; print(cli.build_parser.cache_info().misses)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n")

@@ -860,6 +860,28 @@ class TestCloseness:
             reports += expected is not None
         assert reports == 377
 
+    def test_dense_reports_match_the_full_scan(self):
+        # complete and near-complete 3-graphs, where every vertex meets the
+        # degree bound and each t-set's edge count is computed
+        rng = random.Random(15)
+        reports = 0
+        for i in range(300):
+            n = rng.randint(3, 12)
+            complete = list(itertools.combinations(range(n), 3))
+            drop = rng.randint(0, n) if i % 3 else 0  # every third host complete
+            host = TripleSystem(n, rng.sample(complete, max(len(complete) - drop, 0)))
+            t, delta = rng.randint(0, min(4, n)), rng.choice([0.05, 0.1, 0.2, 0.3, 0.45])
+            report, expected = hypergraph_closeness(host, t, delta), closeness_reference(host, t, delta)
+            assert (report and report.to_json()) == (expected and expected.to_json()), i
+            reports += expected is not None
+        assert reports == 69
+
+    def test_complete_3graph_returns_none_quickly(self):
+        # all 9,880 3-sets of K_40^(3) are candidates; each leaves C(37, 3) edges
+        start = time.perf_counter()
+        assert hypergraph_closeness(TripleSystem(40, itertools.combinations(range(40), 3)), 3, 0.1) is None
+        assert time.perf_counter() - start < 1
+
     def test_sparse_hosts_return_none_quickly(self):
         # no vertex meets the degree bound, so no set is scanned
         start = time.perf_counter()
