@@ -15,7 +15,9 @@ Linear extraction is a greedy minimum-degree independent set in the graph
 of edges sharing i vertices; it runs in near-linear time from vertex or
 pair incidence buckets and a lazy heap of live degrees, without building
 that graph.  Heap entries are the integers degree * m + index (m edges),
-which sort as the (degree, index) pairs they encode.
+which sort as the (degree, index) pairs they encode.  Every live edge holds
+a current entry, so the loop stops at the last live edge instead of
+draining the stale entries.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class CleaningTrace:
         )
 
     def snapshot(self, i: int) -> TripleSystem:
-        if not 0 <= i <= self.q:
-            raise InputError(f"snapshot index must lie in [0, {self.q}]")
+        if not (_is_int(i) and 0 <= i <= self.q):
+            raise InputError(f"snapshot index {i!r} is not an integer in [0, {self.q}]")
         edges = set(self.start_system().edges)
         for pair, _tag in self.removed_pairs[:i]:
             edges = {e for e in edges if not (pair[0] in e and pair[1] in e)}
@@ -297,7 +299,9 @@ def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
     (d, j) and keys sort exactly as those pairs, and only live edges, with
     d >= 0, are pushed.  The edge list is sorted, so index order is edge
     order, and degrees only fall, so a stale entry carries a larger key
-    than the live one and is skipped when it surfaces.
+    than the live one and is skipped when it surfaces.  Every live edge
+    holds such a current entry, so the loop ends when no edge is live:
+    every entry still on the heap is stale and would only be skipped.
     """
     _check_i(i)
     if not system.edges:
@@ -323,13 +327,15 @@ def extract_linear_subgraph(system: TripleSystem, i: int) -> TripleSystem:
     heap = [d * m + j for j, d in enumerate(degree)]
     heapq.heapify(heap)
     chosen: list[Triple] = []
-    while heap:
+    live = m
+    while live:
         d, pick = divmod(heapq.heappop(heap), m)
         if degree[pick] != d:
             continue
         chosen.append(edges[pick])
         dead = neighbours(pick)
         dead.add(pick)
+        live -= len(dead)
         for j in dead:
             degree[j] = -1
             for bucket in lists[j]:

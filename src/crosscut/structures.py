@@ -229,7 +229,8 @@ class TripleSystem:
     `edges` is a frozenset of sorted triples, and n is at most 10^6 as for
     `Graph`.  `rows`, the one codegree index, is built here: rows[u][v] is
     the bitmask of the third vertices of the triples through u and v, in
-    both rows of each shadow pair.  Vertices in no triple share one
+    both rows of each shadow pair.  One pass over the distinct triples
+    sets the six entries of each.  Vertices in no triple share one
     read-only empty row, so it takes O(n + shadow pairs); callers copy it
     before they edit.
     """
@@ -241,7 +242,13 @@ class TripleSystem:
         clean: set[Triple] = set()
         for i, t in enumerate(triples):
             try:
-                a, b, c = sorted(t)
+                a, b, c = t
+                if a > b:
+                    a, b = b, a
+                if b > c:
+                    b, c = c, b
+                    if a > b:
+                        a, b = b, a
             except (TypeError, ValueError):
                 raise _bad_edge(t, n, 3, i) from None
             if not (int is type(a) is type(b) is type(c) and 0 <= a < b < c < n):
@@ -251,13 +258,16 @@ class TripleSystem:
         self.edges = frozenset(clean)
         rows: list = [_NO_PAIRS] * n
         for a, b, c in clean:
-            for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
-                ru, rv = rows[u], rows[v]
-                if ru is _NO_PAIRS:
-                    ru = rows[u] = {}
-                if rv is _NO_PAIRS:
-                    rv = rows[v] = {}
-                ru[v] = rv[u] = ru.get(v, 0) | 1 << w
+            ra, rb, rc = rows[a], rows[b], rows[c]
+            if ra is _NO_PAIRS:
+                ra = rows[a] = {}
+            if rb is _NO_PAIRS:
+                rb = rows[b] = {}
+            if rc is _NO_PAIRS:
+                rc = rows[c] = {}
+            ra[b] = rb[a] = ra.get(b, 0) | 1 << c
+            ra[c] = rc[a] = ra.get(c, 0) | 1 << b
+            rb[c] = rc[b] = rb.get(c, 0) | 1 << a
         self.rows = rows
 
     def edge_list(self) -> list[Triple]:
@@ -359,8 +369,9 @@ def is_superfull(system: TripleSystem, d: int, k: int) -> bool:
         return False
     rows = system.rows
     for a, b, c in system.edges:
-        low = sum(rows[u][v].bit_count() < k for u, v in ((a, b), (a, c), (b, c)))
-        if low > 1:
+        ra = rows[a]
+        low = (ra[b].bit_count() < k) + (ra[c].bit_count() < k)
+        if low + (rows[b][c].bit_count() < k) > 1:
             return False
     return True
 

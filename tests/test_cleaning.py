@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import json
 import math
@@ -85,6 +86,14 @@ class TestCleaningSemantics:
                 }
                 assert gone
                 assert tag in (TYPE_DEFICIENT, TYPE_COUPLED, TYPE_INTERMEDIATE)
+
+    @pytest.mark.parametrize("index", [0.5, "1", True, False, None, 1.0, -1, 147])
+    def test_snapshot_index_must_be_an_int_in_range(self, index):
+        trace = cleaning_algorithm(planted_host(random.Random(1), 28, 2), 3, 2)
+        assert trace.q == 146
+        with pytest.raises(InputError, match=r"is not an integer in \[0, 146\]"):
+            trace.snapshot(index)
+        assert trace.snapshot(146) == trace.final_system
 
     def test_tags_match_types_at_removal_time(self, cleaning_corpus):
         for system, k, t in cleaning_corpus[:30]:
@@ -310,6 +319,23 @@ class TestAgainstNaive:
             cleaning_algorithm(planted_host(rng, n, 2), 3, 2)
             counts.append(len(calls))
         assert counts == [689, 848, 1044]
+
+    def test_linear_heap_pops_are_pinned(self, monkeypatch):
+        # the work count of linear extraction: the loop stops at the last
+        # live edge, so few stale entries are popped
+        rng = random.Random(1)
+        hosts = [planted_host(rng, n, 2) for n in (28, 32, 36)]
+        pops = []
+        heappop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda h: pops.append(1) or heappop(h))
+
+        def popped(host, i):
+            pops.clear()
+            extract_linear_subgraph(host, i)
+            return len(pops)
+
+        counts = [[popped(host, i) for host in hosts] for i in (1, 2)]
+        assert counts == [[9, 10, 12], [279, 506, 529]]
 
     def test_planted_hosts_are_pinned(self):
         # (n, edges, q, removed pairs listed, sparse, final, linear i=2, i=1)

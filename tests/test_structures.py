@@ -261,6 +261,7 @@ class TestCodegreeIndex:
 
     def test_rows_and_readers_agree_with_a_brute_force(self):
         rng = random.Random(29)
+        orders = random.Random(31)
         empty_rows = set()
         for _ in range(80):
             n = rng.randint(0, 11)
@@ -290,6 +291,14 @@ class TestCodegreeIndex:
                 assert h.degree(v) == sum(v in e for e in h.edges)
                 if not h.degree(v):
                     empty_rows.add(id(h.rows[v]))
+            # the same triples in random vertex orders, some as lists: every
+            # compare-swap branch of the constructor's sort runs
+            shuffled = []
+            for e in h.edge_list():
+                order = orders.choice(list(itertools.permutations(e)))
+                shuffled.append(list(order) if orders.random() < 0.5 else order)
+            again = TripleSystem(n, shuffled)
+            assert again.edges == h.edges and again.rows == h.rows
         # every vertex in no triple, in every system, has the same row
         assert len(empty_rows) == 1
 
