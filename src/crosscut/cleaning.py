@@ -71,12 +71,16 @@ class CleaningTrace:
         )
 
     def snapshot(self, i: int) -> TripleSystem:
+        """The system after the first i removals, in one pass: a removal
+        deletes every live edge through its (sorted) pair, so the start
+        edges left are those through none of the first i pairs."""
         if not (_is_int(i) and 0 <= i <= self.q):
             raise InputError(f"snapshot index {i!r} is not an integer in [0, {self.q}]")
-        edges = set(self.start_system().edges)
-        for pair, _tag in self.removed_pairs[:i]:
-            edges = {e for e in edges if not (pair[0] in e and pair[1] in e)}
-        return TripleSystem(self.original.n, edges)
+        gone = {pair for pair, _tag in self.removed_pairs[:i]}
+        return TripleSystem(self.original.n, [
+            (a, b, c) for a, b, c in self.original.edges - self.sparse_part.edges
+            if (a, b) not in gone and (a, c) not in gone and (b, c) not in gone
+        ])
 
     def superfull_certificate(self) -> bool | None:
         if 3 * self.k <= self.t:

@@ -261,7 +261,7 @@ def _embedding_order(pattern: Graph, edge: Pair | None = None) -> list[int]:
     return order
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=256)
 def _plan(pattern: Graph, edge: Pair | None = None) -> tuple:
     """The DFS's pattern-only set-up, built once per pattern and root edge
     (a Graph is immutable and hashed by value): each vertex's depth in
@@ -311,8 +311,13 @@ def find_expansion(
     the search order, then the lexicographically least completion, which
     `_lex_least` derives from any full matching; otherwise the leaf takes
     the matching it holds.  Package callers keep the default; the
-    benchmark's tracer still passes it positionally.
+    benchmark's tracer still passes it positionally.  A host that is not a
+    TripleSystem, or a pattern that is not a Graph, is an InputError.
     """
+    if not isinstance(host, TripleSystem):
+        raise InputError(f"host must be a TripleSystem, got {type(host).__name__}")
+    if not isinstance(pattern, Graph):
+        raise InputError(f"pattern must be a Graph, got {type(pattern).__name__}")
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
     if pattern.n + len(pattern.edges) > host.n:
@@ -336,6 +341,15 @@ def _absorbable(masks: list[int], match: list[int], k: int, free: int) -> int:
     return free
 
 
+def _grouped(row: dict[int, int]) -> tuple:
+    """One (mask, zs) pair per distinct mask in the row, zs the vertices z
+    with row[z] == mask."""
+    by_mask: dict[int, int] = {}
+    for z, mask in row.items():
+        by_mask[mask] = by_mask.get(mask, 0) | 1 << z
+    return tuple(by_mask.items())
+
+
 def _search(
     host: TripleSystem, pattern: Graph, plan: tuple,
     root: tuple[int, int, int] | None, deterministic: bool = False,
@@ -356,7 +370,13 @@ def _search(
     unheld in M, outside the core and h, so every vertex on it is in
     `avail`.  So accepted nodes, their order, the matchings held and the
     certificates are those of the unfiltered DFS; a holder always moves,
-    and a new slot always has a vertex outside the core and h."""
+    and a new slot always has a vertex outside the core and h.
+
+    Link: the new pairs (a, h) have a codegree vertex in `avail` for the h
+    in the OR of rows[a][w] over w in `avail`, which by symmetry are the h
+    whose rows[a][h] meets `avail`.  A search's first read of a row takes
+    the OR; later reads test each `_grouped` class with one AND.  The sets
+    are equal, so nodes, matchings and certificates do not change."""
     pos, back, first_slot, pat_edges, edge_slot = plan
     rows = host.rows
     last = pattern.n - 1
@@ -367,6 +387,7 @@ def _search(
     helds = [0] * pattern.n  # held at depth i
     masks = [0] * len(pat_edges)
     match = [-1] * len(pat_edges)
+    groups: dict[int, tuple] = {}  # u -> `_grouped(rows[u])`, () once read
     if budget is not None:
         budget.tick()
     i = 0
@@ -448,10 +469,20 @@ def _search(
         core = inner
         avail = cand = _absorbable(masks, match, first_slot[i], full & ~core & ~held)
         for d in back[i]:
+            u = hs[d]
             link = 0
-            for w, mask in rows[hs[d]].items():
-                if avail >> w & 1:
-                    link |= mask
+            row = groups.get(u)
+            if row is None:  # first read: scan the row, group it next time
+                groups[u] = ()
+                for w, mask in rows[u].items():
+                    if avail >> w & 1:
+                        link |= mask
+            else:
+                if not row:
+                    row = groups[u] = _grouped(rows[u])
+                for mask, zs in row:
+                    if mask & avail:
+                        link |= zs
             cand &= link
         cands[i] = cand
         saved[i] = match[:]
@@ -463,7 +494,10 @@ def find_blowup(
 ) -> Embedding | None:
     """Decide whether the pattern's triangle blowup embeds in the host graph
     by searching its triangle system; the certificate (canonical, as
-    find_expansion's) is translated back."""
+    find_expansion's) is translated back.  A host that is not a Graph is
+    an InputError, as is a pattern that find_expansion rejects."""
+    if not isinstance(host, Graph):
+        raise InputError(f"host must be a Graph, got {type(host).__name__}")
     emb = find_expansion(triangle_system(host), pattern, budget=budget)
     if emb is None:
         return None

@@ -33,6 +33,7 @@ from .structures import (
     Graph,
     TripleSystem,
     _check_n,
+    _is_int,
     _mask_vertices,
     matching_le1_structure,
     two_intersecting_structure,
@@ -209,6 +210,13 @@ def _levelwise_max(
     return best, [decode_key(n, w, arity) for w in sorted(witnesses)], budget.nodes - start
 
 
+def _check_turan_n(n) -> None:
+    if not _is_int(n):
+        raise InputError(f"n must be an integer, got {n!r}")
+    if n < 0:
+        raise InputError("n must be nonnegative")
+
+
 def _exact_turan(
     n: int,
     pattern: Graph,
@@ -231,13 +239,13 @@ def _exact_turan(
     nodes only.
     A pattern whose copies have more than n vertices is in no family: from
     n = 3 on, the complete family (its own key) alone has the top value,
-    and no search runs.  An edgeless pattern and a negative n are
-    InputErrors in both modes.
+    and no search runs.  An edgeless pattern and an n that is not a
+    nonnegative int (bools and floats included) are InputErrors in both
+    modes.
     """
     if not pattern.edges:
         raise InputError("pattern needs at least one edge")
-    if n < 0:
-        raise InputError("n must be nonnegative")
+    _check_turan_n(n)
     if exhaustive and n > EXHAUSTIVE_LIMIT:
         raise BudgetExceededError(f"exhaustive search supports n <= {EXHAUSTIVE_LIMIT}")
     if budget is None:
@@ -310,6 +318,7 @@ def exact_generalized_turan(
     and cycles, with the extra edge for even paths and even cycles (the
     trees and cycles of maximum degree 2) when it fits, free by
     sbi_contains at every n."""
+    _check_turan_n(n)  # n sizes the construction before the shared driver runs
     edge_count = len(pattern.edges)
     degrees = pattern.degrees()
     is_cycle = (

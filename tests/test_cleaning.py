@@ -87,6 +87,18 @@ class TestCleaningSemantics:
                 assert gone
                 assert tag in (TYPE_DEFICIENT, TYPE_COUPLED, TYPE_INTERMEDIATE)
 
+    def test_snapshots_match_the_step_by_step_replay(self, cleaning_corpus):
+        # snapshot(i) drops in one pass the start edges through any of the
+        # first i pairs; replaying the removals one at a time must agree
+        for system, k, t in cleaning_corpus:
+            trace = cleaning_algorithm(system, k, t)
+            edges = set(trace.start_system().edges)
+            assert trace.snapshot(0).edges == edges
+            for i, (pair, _tag) in enumerate(trace.removed_pairs, 1):
+                edges = {e for e in edges if not (pair[0] in e and pair[1] in e)}
+                assert trace.snapshot(i).edges == edges
+            assert trace.snapshot(trace.q) == trace.final_system
+
     @pytest.mark.parametrize("index", [0.5, "1", True, False, None, 1.0, -1, 147])
     def test_snapshot_index_must_be_an_int_in_range(self, index):
         trace = cleaning_algorithm(planted_host(random.Random(1), 28, 2), 3, 2)

@@ -22,6 +22,7 @@ from crosscut.embed import (
     AlternatingWitness,
     _absorbable,
     _augment,
+    _grouped,
     _lex_least,
     _lex_least_sdr,
     _plan,
@@ -113,6 +114,21 @@ class TestFindExpansion:
         emb = find_expansion(complete_3graph(8), cycle_graph(4))
         assert emb is not None and emb.validate(complete_3graph(8))
 
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            (lambda: find_expansion(Graph(6, [(0, 1)]), path_graph(2)), "host must be a TripleSystem"),
+            (lambda: find_expansion(complete_3graph(6), complete_3graph(3)), "pattern must be a Graph"),
+            (lambda: find_expansion(complete_3graph(6), [(0, 1)]), "pattern must be a Graph"),
+            (lambda: find_blowup(complete_3graph(6), path_graph(2)), "host must be a Graph"),
+            (lambda: find_blowup(complete_graph(6), None), "pattern must be a Graph"),
+        ],
+        ids=["graph-host", "3graph-pattern", "list-pattern", "blowup-3graph-host", "blowup-no-pattern"],
+    )
+    def test_host_and_pattern_kinds_are_input_errors(self, search, message):
+        with pytest.raises(InputError, match=f"^{message}, got "):
+            search()
+
     def test_rejects_edgeless_pattern(self):
         with pytest.raises(InputError):
             find_expansion(complete_3graph(5), Graph(3, []))
@@ -194,6 +210,53 @@ class TestFindExpansion:
             31, 26, 9, 824, 6, 6, 5, 2167, 20, 66, 8, 369,
         ]
         assert missing == [0, 1, 15, 23, 27]
+
+    def test_heavy_apex_negatives_are_pinned(self):
+        # exhaustive negatives behind the lower bound's freeness checks, the
+        # heaviest searches of the apex sweep
+        spider = Graph(6, [(0, 1), (0, 5), (1, 2), (1, 3), (1, 4)])
+        searches = [
+            (s_construction(11, 1), spider),
+            (s_construction(12, 1), spider),
+            (s_construction(12, 2), path_graph(5)),
+        ]
+        nodes = []
+        for host, pat in searches:
+            budget = SearchBudget()
+            assert find_expansion(host, pat, True, budget) is None
+            nodes.append(budget.nodes)
+        assert nodes == [5972, 9165, 6325]
+
+    def test_grouped_rows_give_the_direct_link(self):
+        # z is in the link of u's row over avail exactly when rows[u][z]
+        # meets avail, so one AND per codegree class gives the OR of
+        # rows[u][w] over w in avail
+        rng = random.Random(32)
+        apex = [(s_construction(n, t), t) for n in (7, 10, 13) for t in (1, 2, 3)]
+        hosts = [host for host, _ in apex]
+        hosts += [
+            random_triple_system(rng, rng.randint(5, 14), rng.uniform(0.05, 0.6))
+            for _ in range(30)
+        ]
+        for host in hosts:
+            for _ in range(25):
+                u = rng.randrange(host.n)
+                avail = rng.getrandbits(host.n)
+                row = host.rows[u]
+                groups = _grouped(row)
+                assert sum(zs.bit_count() for _, zs in groups) == len(row)
+                direct = grouped = 0
+                for w, mask in row.items():
+                    if avail >> w & 1:
+                        direct |= mask
+                for mask, zs in groups:
+                    if mask & avail:
+                        grouped |= zs
+                assert grouped == direct
+        # a non-apex row of S(n, t) has t + 1 classes: the apexes' masks
+        # differ, and every other vertex's mask is the apex set
+        for host, t in apex:
+            assert {len(_grouped(host.rows[u])) for u in range(t, host.n)} == {t + 1}
 
     def test_sparse_negative_node_count_is_pinned(self):
         # depth 0 tries every host vertex, also those in no triple, and each

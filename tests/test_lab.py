@@ -679,6 +679,16 @@ def test_turan_honours_the_caller_budget(solve):
     assert budget.nodes == nodes
 
 
+@pytest.mark.parametrize("solve", [exact_turan_hypergraph, exact_generalized_turan])
+@pytest.mark.parametrize("n", [True, False, 5.0, "5", None, -1])
+def test_turan_n_must_be_a_nonnegative_int(solve, n):
+    # a bool or a float is not a vertex count, in either mode
+    with pytest.raises(InputError, match=r"^n must be"):
+        solve(n, path_graph(2))
+    with pytest.raises(InputError, match=r"^n must be"):
+        solve(n, path_graph(2), exhaustive=False)
+
+
 @pytest.mark.parametrize(
     "limits",
     [{"max_nodes": -1}, {"max_nodes": 0}, {"wall_clock_s": 0}, {"wall_clock_s": -2.5}],
